@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk_geometry import GeodesicSide, invert_on_circle, side_circle, unit_point
-from .errors import DepthLimitError, DomainError, HypergonError, PrecisionError
+from .errors import DomainError, HypergonError
 from .extremal import (
     SimplexPoint,
     grid_scan,
@@ -57,9 +57,12 @@ def _max_sides() -> int:
     if raw is None:
         return DEFAULT_MAX_SIDES
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise DomainError("HYPERGON_MAX_SIDES must be an integer") from exc
+    if cap < 1:
+        raise DomainError("HYPERGON_MAX_SIDES must be a positive integer")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +433,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DepthLimitError, PrecisionError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except HypergonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

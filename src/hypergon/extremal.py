@@ -18,12 +18,23 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .disk_geometry import ALPHA_MIN, invert_fractions
 from .errors import ConvergenceError, DomainError, UnknownSuiteError
 from .measures import MAJORIZATION_SLACK, area_upper_bound, euclidean_area, side_region_area
 from .polygon import IdealPolygon, _validate_angles, angle_tables, grow_body, is_regular
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use.
+
+    Importing scipy costs more than half a second, which only refinement
+    should pay.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
 
 # Lattice steps coarser than 1/100 cannot isolate the regular point.
 MAX_GRID_STEP = 1.0 / 100.0

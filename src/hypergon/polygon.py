@@ -13,12 +13,18 @@ and each later generation reflects every polygon of the previous one across
 each of its free sides (the side shared with its parent stays fixed).  The
 union of all generations up to ``s`` is itself a convex ideal polygon whose
 boundary angles are the gaps between all vertices produced along the way.
+Growth works on each cell's vector of side widths, not on absolute vertex
+fractions.  A whole generation is reflected in one batched step, and every
+new width is computed from its parent's widths without cancellation, so
+arcs keep their relative precision.  The boundary is spliced from the
+children's widths in creation order instead of sorted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -222,47 +228,102 @@ def is_regular(angles, tol: float = REGULARITY_TOL) -> bool:
 class Body:
     """The union of all reflection generations up to ``generations``.
 
-    ``polygons[g]`` lists the vertex cycles (tuples of turn fractions) of
-    generation ``g``; ``boundary_angles`` are the arcs between consecutive
-    boundary vertices of the union, in positive orientation starting from
-    the smallest fraction.
+    ``gaps[g]`` is the ``(C_g, n)`` array of side widths of the generation-
+    ``g`` cells, in creation order.  A grown cell starts at the first
+    endpoint of the parent side it was reflected across: its first ``n - 1``
+    widths tile that side's arc and its last one, ``1 - w``, is the shared
+    side taken the long way round.  ``boundary_angles`` are the arcs between
+    consecutive boundary vertices of the union, in positive orientation
+    starting from the smallest fraction.  ``polygons[g]`` lists the vertex
+    cycles (tuples of turn fractions) of generation ``g``; it is built from
+    the widths on first access.
     """
 
     base: IdealPolygon
     generations: int
-    polygons: tuple[tuple[tuple[float, ...], ...], ...]
+    gaps: tuple[np.ndarray, ...] = field(repr=False)
     boundary_angles: np.ndarray
 
     @property
     def polygon_counts(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.polygons)
+        """Cells per generation."""
+        return tuple(len(g) for g in self.gaps)
+
+    @cached_property
+    def polygons(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        n = self.base.n
+        verts = vertex_fractions(self.base)[None, :]
+        out = [tuple(map(tuple, verts.tolist()))]
+        for widths in self.gaps[1:]:
+            free = widths.shape[0] // verts.shape[0]
+            start = verts[:, :free].reshape(-1)
+            end = np.roll(verts, -1, axis=1)[:, :free].reshape(-1)
+            inner = (start[:, None] + np.cumsum(widths[:, : n - 2], axis=1)) % 1.0
+            verts = np.column_stack([start, inner, end])
+            out.append(tuple(map(tuple, verts.tolist())))
+        return tuple(out)
 
 
-def _reflect_cell(verts: tuple[float, ...], i: int, n: int) -> tuple[tuple[float, ...], list[float]]:
-    """Reflect a cell across its side ``i`` (0-based, consecutive pair).
+def _reflect_generation(widths: np.ndarray, free: int) -> np.ndarray:
+    """Reflect every cell across each of its first ``free`` sides at once.
 
-    Returns the child's span-ordered vertex tuple and the list of newly
-    created vertex fractions.
+    ``widths`` is a ``(C, n)`` array of cell side widths; the result is the
+    ``(C * free, n)`` array of the children's widths, cell by cell and side
+    by side.  With offsets measured from the reflecting side's start ``a``
+    (width ``w``), a vertex at offset ``delta`` maps to the offset ``x`` with
+    ``cot(pi x) = 2 cot(pi w) - cot(pi delta)`` (the half-plane form of the
+    reflection), which reverses the vertex order.  Each ``delta`` is a sum of
+    widths taken from the nearer endpoint of the side, and each new width is
+    evaluated directly rather than as a difference of fractions:
+
+    * next to ``a``, the image of the vertex before ``a`` is ``x`` itself;
+    * next to the side's end, the gap ``y`` from the image of the vertex
+      after the end to the end satisfies
+      ``cot(pi y) = 2 cot(pi w) + cot(pi (delta - w))``;
+    * between two images, the chord law of inversion gives
+      ``sin(pi dx) = sin(pi x1) sin(pi x2) sin(pi g) / (sin(pi delta1)
+      sin(pi delta2))`` for the source width ``g``; where that sine is
+      large the plain difference of the two offsets is used instead, which
+      is accurate there and avoids an ill-conditioned arcsine.
+
+    A cell's shared side spans the long way round; it only ever enters
+    through its sine, taken from the sum of the other widths.
     """
-    a = verts[i]
-    e = verts[(i + 1) % n]
-    w = (e - a) % 1.0
-    if w < ARC_GUARD:
+    c, n = widths.shape
+    turn = (np.arange(free)[:, None] + np.arange(n)) % n
+    cells = widths[:, turn].reshape(c * free, n)
+    w = cells[:, :1]
+    rest = cells[:, 1:]  # widths from the side's end round to its start
+    from_end = np.cumsum(rest[:, :-1], axis=1)
+    from_start = np.cumsum(rest[:, :0:-1], axis=1)[:, ::-1]
+    near_start = from_start < from_end
+    arg = np.pi * np.where(near_start, from_start, w + from_end)
+    # cot(pi delta) with delta = 1 - from_start or w + from_end
+    cot_delta = np.where(near_start, -1.0, 1.0) / np.tan(arg)
+    cot_w2 = 2.0 / np.tan(np.pi * w)
+    x = np.arctan2(1.0, cot_w2 - cot_delta) / np.pi
+    # sin(pi g) = sin(pi (1 - g)): the long way round keeps its digits in
+    # the sum of the other widths
+    source = rest[:, 1:-1]
+    source = np.where(source > 0.5, w + from_end[:, :-1] + from_start[:, 1:], source)
+    sin_x = np.sin(np.pi * x)
+    sin_dx = sin_x[:, :-1] * sin_x[:, 1:] * np.sin(np.pi * source)
+    sin_dx /= np.sin(arg[:, :-1]) * np.sin(arg[:, 1:])
+    between = np.where(
+        sin_dx < 0.5, np.arcsin(np.minimum(sin_dx, 0.5)) / np.pi, x[:, :-1] - x[:, 1:]
+    )
+    # cot(pi (delta - w)) for the vertex after the side's end
+    after = np.where(near_start[:, 0], -1.0, 1.0) / np.tan(
+        np.pi * np.where(near_start[:, 0], w[:, 0] + from_start[:, 0], from_end[:, 0])
+    )
+    children = np.empty_like(cells)
+    children[:, 0] = x[:, -1]
+    children[:, 1 : n - 2] = between[:, ::-1]
+    children[:, n - 2] = np.arctan2(1.0, cot_w2[:, 0] + after) / np.pi
+    children[:, n - 1] = 1.0 - w[:, 0]
+    if not children[:, :-1].min() >= ARC_GUARD:
         raise PrecisionError("arc width underflow: vertices no longer separable")
-    geo = GeodesicSide(a, w)
-    offsets = []
-    for idx in range(n):
-        if idx in (i, (i + 1) % n):
-            continue
-        x = invert_on_circle(verts[idx], geo)
-        offsets.append((x - a) % 1.0)
-    offsets.sort()
-    gaps = np.diff([0.0] + offsets + [w])
-    if gaps.min() < ARC_GUARD:
-        raise PrecisionError("arc width underflow: vertices no longer separable")
-    images = [wrap_unit(a + off) for off in offsets]
-    child = (a, *images, e)
-    return child, images
+    return children
 
 
 def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) -> Body:
@@ -270,9 +331,13 @@ def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) ->
 
     Generation 0 is the seed; generation ``g + 1`` reflects every
     generation-``g`` cell across each of its free sides (all ``n`` sides
-    for the seed, the ``n - 1`` non-shared ones afterwards).  Cells are
-    processed in creation order and the boundary is assembled sorted, so
-    the result is deterministic.
+    for the seed, the ``n - 1`` non-shared ones afterwards), one batched
+    step per generation on the cells' width vectors.  Children come out in
+    creation order, which is also the positive order of the arcs they
+    cover, so the boundary is the last generation's free widths in that
+    order, rotated once to start at the smallest fraction; nothing is
+    sorted.  Grown arcs keep their relative precision; growth stops with
+    ``PrecisionError`` once a new arc falls below ``ARC_GUARD``.
     """
     if s < 0 or int(s) != s:
         raise DomainError("generation count must be a non-negative integer")
@@ -283,27 +348,19 @@ def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) ->
         raise DepthLimitError(
             f"projected boundary side count {projected} exceeds cap {max_sides}"
         )
-    seed = tuple(float(t) for t in vertex_fractions(poly))
-    boundary = list(seed)
-    generations = [(seed,)]
-    frontier = [seed]
-    frontier_is_root = True
-    for _ in range(s):
-        new_cells = []
-        for verts in frontier:
-            free = n if frontier_is_root else n - 1
-            for i in range(free):
-                child, images = _reflect_cell(verts, i, n)
-                new_cells.append(child)
-                boundary.extend(images)
-        generations.append(tuple(new_cells))
-        frontier = new_cells
-        frontier_is_root = False
-    bverts = np.sort(np.asarray(boundary))
-    gaps = np.concatenate([np.diff(bverts), [1.0 + bverts[0] - bverts[-1]]])
+    widths = np.asarray(poly.angles, dtype=float)[None, :]
+    gaps = [widths]
+    for g in range(s):
+        widths = _reflect_generation(widths, n if g == 0 else n - 1)
+        gaps.append(widths)
+    arcs = (widths if s == 0 else widths[:, :-1]).reshape(-1)
+    # the arcs start at the seed's first vertex; move the first vertex past
+    # one full turn, the smallest fraction, to the front
+    past = int(np.searchsorted(poly.rotation + np.cumsum(arcs[:-1]), 1.0))
+    first = past + 1 if past < arcs.size - 1 else 0
     return Body(
         base=poly,
         generations=s,
-        polygons=tuple(generations),
-        boundary_angles=gaps,
+        gaps=tuple(gaps),
+        boundary_angles=np.roll(arcs, -first),
     )

@@ -115,6 +115,15 @@ def test_cmd_grow_depth_cap_env(tmp_path, monkeypatch):
     assert main(["grow", "--in", str(src), "--generations", "2", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cmd_grow_rejects_non_positive_cap(tmp_path, monkeypatch, capsys, cap):
+    monkeypatch.setenv("HYPERGON_MAX_SIDES", cap)
+    src = write_polygon(tmp_path / "d4.json", [0.25] * 4)
+    out = tmp_path / "body.json"
+    assert main(["grow", "--in", str(src), "--generations", "1", "--out", str(out)]) == 1
+    assert "HYPERGON_MAX_SIDES must be a positive integer" in capsys.readouterr().err
+
+
 def test_cmd_grow_missing_input_is_io_error(tmp_path, capsys):
     assert main(["grow", "--in", str(tmp_path / "nope.json"), "--generations", "1", "--out", str(tmp_path / "o.json")]) == 3
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypergon.cli import body_to_doc
 from hypergon.disk_geometry import CirclePoint, GeodesicSide, invert_on_circle
 from hypergon.errors import DepthLimitError, DomainError, PrecisionError
 from hypergon.polygon import (
@@ -279,8 +280,91 @@ def test_grow_arc_underflow_guard():
     grow_body(thin, 1)
     with pytest.raises(PrecisionError):
         grow_body(thin, 2)
+    # the smallest arc is 3.6e-8 wide at s=6 and falls under the guard at s=7
+    nonregular = IdealPolygon((0.2, 0.3, 0.15, 0.35))
+    grow_body(nonregular, 6)
+    with pytest.raises(PrecisionError):
+        grow_body(nonregular, 7)
 
 
 def test_grow_rejects_negative_generations():
     with pytest.raises(DomainError):
         grow_body(IdealPolygon.regular(3), -1)
+
+
+def _replay_arcs(mpmath, angles, rotation, s):
+    """Boundary arcs of a body replayed at 40 digits on absolute fractions.
+
+    The replay reflects cells in the same order as ``grow_body`` through the
+    closed-form inversion, then sorts every vertex, so arc ``i`` is the
+    library's arc ``i``.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+
+    def invert(beta, a, alpha):
+        d = beta - (a + alpha / 2)
+        d -= mp.nint(d)
+        gap = mp.atan2(mp.sin(2 * mp.pi * d), mp.cos(mp.pi * alpha) - mp.cos(2 * mp.pi * d))
+        return (beta + mp.mpf(1) / 2 + gap / mp.pi) % 1
+
+    n = len(angles)
+    seed = [mp.mpf(rotation)]
+    for a in angles[:-1]:
+        seed.append(seed[-1] + mp.mpf(a))
+    seed = tuple(t % 1 for t in seed)
+    boundary = list(seed)
+    frontier = [seed]
+    for g in range(s):
+        cells = []
+        for verts in frontier:
+            for i in range(n if g == 0 else n - 1):
+                a, e = verts[i], verts[(i + 1) % n]
+                w = (e - a) % 1
+                others = (verts[m] for m in range(n) if m not in (i, (i + 1) % n))
+                offsets = sorted((invert(t, a, w) - a) % 1 for t in others)
+                images = [(a + off) % 1 for off in offsets]
+                cells.append((a, *images, e))
+                boundary.extend(images)
+        frontier = cells
+    boundary.sort()
+    arcs = [boundary[i + 1] - boundary[i] for i in range(len(boundary) - 1)]
+    return arcs + [1 + boundary[0] - boundary[-1]]
+
+
+@pytest.mark.parametrize(
+    "angles,rotation,s",
+    [
+        ((0.2, 0.3, 0.15, 0.35), 0.0, 6),
+        ((0.4999, 0.25, 0.15, 0.1001), 0.0, 3),
+        ((1 / 3, 1 / 3, 1 / 3), 0.37, 8),
+        # a narrow side mirrored across the opposite one: offsets differ by
+        # far less than they are wide
+        ((0.45, 0.05, 4e-4, 0.4996), 0.0, 1),
+    ],
+)
+def test_grown_arcs_hold_relative_precision(angles, rotation, s):
+    mpmath = pytest.importorskip("mpmath")
+    poly = IdealPolygon(angles, rotation)
+    body = grow_body(poly, s)
+    exact = _replay_arcs(mpmath, poly.angles, poly.rotation, s)
+    assert len(exact) == body.boundary_angles.size
+    worst = max(abs(float((mpmath.mpf(float(a)) - e) / e)) for a, e in zip(body.boundary_angles, exact))
+    assert worst < 1e-13
+
+
+def test_grown_cells_are_reflections_of_their_parents():
+    body = grow_body(IdealPolygon((0.3, 0.15, 0.2, 0.25, 0.1), 0.9), 2)
+    for g in (1, 2):
+        parents, cells = body.polygons[g - 1], body.polygons[g]
+        free = len(cells) // len(parents)
+        for k, cell in enumerate(cells):
+            expected = reflect_polygon(parents[k // free], k % free + 1)
+            assert np.max(circular_gap([p.t for p in expected], cell)) < 1e-12
+
+
+def test_grow_does_not_build_polygon_tuples():
+    body = grow_body(IdealPolygon.regular(4), 3)
+    assert body.polygon_counts == (1, 4, 12, 36)
+    body_to_doc(body)
+    assert "polygons" not in vars(body)
