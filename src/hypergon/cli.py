@@ -91,7 +91,7 @@ def polygon_from_doc(doc) -> IdealPolygon:
 
 
 def body_to_doc(body: Body) -> dict:
-    angles = [float(a) for a in body.boundary_angles]
+    angles = body.boundary_angles.tolist()
     return {
         "n": body.base.n,
         "generations": body.generations,
@@ -244,8 +244,9 @@ def _cmd_grow(args) -> int:
     body = grow_body(poly, args.generations, _max_sides())
     doc = body_to_doc(body)
     with open(args.out, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # one-shot dumps uses the C encoder; json.dump streams through the
+        # pure-Python one
+        fh.write(json.dumps(doc) + "\n")
     if args.svg:
         svg = render_svg(body)
         with open(args.svg, "w") as fh:

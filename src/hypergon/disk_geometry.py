@@ -222,8 +222,8 @@ def invert_fractions(beta, a, alpha):
     a = np.asarray(a, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     d = beta - (a + 0.5 * alpha)
-    d = d - np.round(d)
-    gap = np.arctan2(np.sin(_TWO_PI * d), np.cos(np.pi * alpha) - np.cos(_TWO_PI * d))
+    turn = _TWO_PI * (d - np.rint(d))
+    gap = np.arctan2(np.sin(turn), np.cos(np.pi * alpha) - np.cos(turn))
     return (beta + 0.5 + gap / np.pi) % 1.0
 
 

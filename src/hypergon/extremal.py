@@ -98,8 +98,11 @@ class ScanReport:
 
 
 def _objective_batch(rows: np.ndarray) -> np.ndarray:
-    """Largest inverted angle for each angle vector in ``rows`` (B, n)."""
-    return np.nanmax(angle_tables(rows), axis=(1, 2))
+    """Largest inverted angle for each angle vector in ``rows`` (B, n).
+
+    ``fmax`` skips the NaN diagonal, as ``nanmax`` does, without its checks.
+    """
+    return np.fmax.reduce(angle_tables(rows), axis=(1, 2))
 
 
 def minimax_objective(p: SimplexPoint) -> float:
@@ -282,14 +285,18 @@ def refine_minimum(start: SimplexPoint, tol: float = 1e-10) -> tuple[SimplexPoin
     n = start.n
     lo, hi = ALPHA_MIN, 0.5 - ALPHA_MIN
 
+    row = np.empty((1, n))  # reused by every evaluation
+    a = row[0]
+
     def objective(y: np.ndarray) -> float:
-        a = np.append(y, 1.0 - y.sum())
+        a[:-1] = y
+        a[-1] = 1.0 - y.sum()
+        if lo <= a.min() and a.max() <= hi:
+            return float(_objective_batch(row)[0])
         excess = np.sum(np.maximum(lo - a, 0.0) + np.maximum(a - hi, 0.0))
-        if excess > 0.0:
-            a = np.clip(a, lo, hi)
-            a = a / a.sum()
-            return float(_objective_batch(a[None, :])[0]) + 10.0 * float(excess)
-        return float(_objective_batch(a[None, :])[0])
+        clipped = np.clip(a, lo, hi)
+        clipped = clipped / clipped.sum()
+        return float(_objective_batch(clipped[None, :])[0]) + 10.0 * float(excess)
 
     y = np.asarray(start.angles[: n - 1])
     best_y = y
@@ -445,37 +452,27 @@ def _suite_point_monotone(samples: int, seed: int):
 
 
 def _pairwise_violations(rows, tables, pairs, relation, base_case):
-    """Check ent[k,l] < ent[l,k] whenever alpha_k < alpha_l over given pairs."""
+    """Check ent[k,l] < ent[l,k] whenever alpha_k < alpha_l over given pairs.
+
+    Each pair is checked as given, then mirrored.
+    """
     violations = []
-    for k, l in pairs:
-        smaller = rows[:, k] < rows[:, l]
-        bad = np.nonzero(smaller & (tables[:, k, l] >= tables[:, l, k]))[0]
-        rev = rows[:, l] < rows[:, k]
-        bad_rev = np.nonzero(rev & (tables[:, l, k] >= tables[:, k, l]))[0]
-        for i in bad:
-            violations.append(
-                Violation(
-                    case=int(base_case[i]),
-                    input={"angles": [float(a) for a in rows[i]], "k": k + 1, "l": l + 1},
-                    relation=relation,
-                    observed={
-                        "ent_kl": float(tables[i, k, l]),
-                        "ent_lk": float(tables[i, l, k]),
-                    },
+    for pair in pairs:
+        for k, l in (pair, pair[::-1]):
+            smaller = rows[:, k] < rows[:, l]
+            bad = np.nonzero(smaller & (tables[:, k, l] >= tables[:, l, k]))[0]
+            for i in bad:
+                violations.append(
+                    Violation(
+                        case=int(base_case[i]),
+                        input={"angles": [float(a) for a in rows[i]], "k": k + 1, "l": l + 1},
+                        relation=relation,
+                        observed={
+                            "ent_kl": float(tables[i, k, l]),
+                            "ent_lk": float(tables[i, l, k]),
+                        },
+                    )
                 )
-            )
-        for i in bad_rev:
-            violations.append(
-                Violation(
-                    case=int(base_case[i]),
-                    input={"angles": [float(a) for a in rows[i]], "k": l + 1, "l": k + 1},
-                    relation=relation,
-                    observed={
-                        "ent_kl": float(tables[i, l, k]),
-                        "ent_lk": float(tables[i, k, l]),
-                    },
-                )
-            )
     return violations
 
 

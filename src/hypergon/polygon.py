@@ -168,32 +168,53 @@ class InvertedAngleMatrix:
         return flat.copy()
 
 
+# Table entries per broadcast pass: every (rows, n, n) temporary of a block
+# holds at most this many doubles (512 KB), so working memory grows neither
+# with the batch nor with n.
+_BLOCK_ENTRIES = 65536
+
+
+def _block_rows(n: int) -> int:
+    """Rows of n-gons per broadcast pass."""
+    return max(1, _BLOCK_ENTRIES // (n * n))
+
+
 def _tables_from_vertices(verts: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Inverted-angle tables, shape (B, n, n), for a batch of polygons.
 
     ``verts`` and ``angles`` are (B, n) arrays of vertex fractions and side
-    angles.  Inversion reverses the circular order, so the image width of
-    side ``k`` is the mod-1 difference of the images of its endpoints taken
-    backwards; noise-level negative differences fold to 0 rather than to a
-    full turn.
+    angles.  Each block of rows takes one broadcast pass: every vertex is
+    inverted across every side at once.  Inversion reverses the circular
+    order, so the image width of side ``k`` is the mod-1 difference of the
+    images of its endpoints taken backwards; noise-level negative
+    differences fold to 0 rather than to a full turn.  The diagonal is NaN.
     """
     b, n = verts.shape
     tables = np.empty((b, n, n))
-    for j in range(n):
-        x = invert_fractions(verts, verts[:, j : j + 1], angles[:, j : j + 1])
-        ent = (x - np.roll(x, -1, axis=1)) % 1.0
-        ent = np.where(ent > 0.5, 0.0, ent)
-        tables[:, j, :] = ent
-    idx = np.arange(n)
-    tables[:, idx, idx] = np.nan
+    nxt = np.arange(1, n + 1) % n
+    step = _block_rows(n)
+    for lo in range(0, b, step):
+        v = verts[lo : lo + step]
+        # x[r, j, k]: vertex k inverted across side j
+        x = invert_fractions(v[:, None, :], v[:, :, None], angles[lo : lo + step, :, None])
+        ent = tables[lo : lo + step]
+        np.subtract(x, x[:, :, nxt], out=ent)
+        ent %= 1.0
+        ent[ent > 0.5] = 0.0
+    tables.reshape(b, n * n)[:, :: n + 1] = np.nan
     return tables
 
 
 def angle_tables(angle_rows: np.ndarray) -> np.ndarray:
-    """Batch inverted-angle tables for rotation-0 angle vectors, (B, n, n)."""
+    """Batch inverted-angle tables for rotation-0 angle vectors, (B, n, n).
+
+    One broadcast pass per block of rows; the diagonal is NaN.
+    """
     a = np.atleast_2d(np.asarray(angle_rows, dtype=float))
-    v = np.concatenate([np.zeros((a.shape[0], 1)), np.cumsum(a, axis=1)[:, :-1]], axis=1)
-    return _tables_from_vertices(v % 1.0, a)
+    v = np.zeros_like(a)
+    np.cumsum(a[:, :-1], axis=1, out=v[:, 1:])
+    v %= 1.0
+    return _tables_from_vertices(v, a)
 
 
 def inverted_angle_matrix(poly: IdealPolygon) -> InvertedAngleMatrix:

@@ -1,5 +1,6 @@
 """Command dispatch, document round-trips, exit codes, and SVG output."""
 
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -106,6 +107,17 @@ def test_cmd_grow_zero_generations_echoes(tmp_path):
     doc = json.loads(out.read_text())
     # angles come back as vertex-gap differences, exact to the last ulp only
     assert np.allclose(sorted(doc["boundary_angles"]), sorted(angles), atol=1e-15)
+
+
+def test_cmd_grow_writes_the_body_document(tmp_path):
+    poly = IdealPolygon((0.2, 0.3, 0.15, 0.35), 0.1)
+    src = write_polygon(tmp_path / "p.json", poly.angles, poly.rotation)
+    out = tmp_path / "body.json"
+    assert main(["grow", "--in", str(src), "--generations", "3", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(body_to_doc(grow_body(poly, 3))) + "\n"
+    boundary = text.split('"boundary_angles": ', 1)[1].split("]", 1)[0] + "]"
+    assert json.loads(text)["checksum"] == hashlib.sha256(boundary.encode()).hexdigest()
 
 
 def test_cmd_grow_depth_cap_env(tmp_path, monkeypatch):

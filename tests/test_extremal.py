@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from hypergon import extremal
 from hypergon.errors import DomainError, UnknownSuiteError
 from hypergon.extremal import (
+    ALPHA_MIN,
     SimplexPoint,
     grid_scan,
     majorization_scan,
@@ -18,7 +20,7 @@ from hypergon.extremal import (
     suite_names,
 )
 from hypergon.measures import decreasing_rearrangement, majorizes
-from hypergon.polygon import IdealPolygon, inverted_angle_matrix
+from hypergon.polygon import IdealPolygon, angle_tables, inverted_angle_matrix
 
 M_STAR = 0.25 - math.atan(0.5) / math.pi  # objective at the regular 4-gon
 
@@ -180,6 +182,57 @@ def test_refine_is_deterministic():
     p2, v2 = refine_minimum(SimplexPoint((0.28, 0.22, 0.27, 0.23)), 1e-10)
     assert p1.angles == p2.angles
     assert v1 == v2
+
+
+def test_refine_matches_scipy_on_the_plain_objective_bit_for_bit(monkeypatch):
+    # the start's first simplex leaves the domain, so the penalty runs too
+    from scipy.optimize import minimize
+
+    start = (0.3, 0.3, 0.39, 0.01)
+    lo, hi = ALPHA_MIN, 0.5 - ALPHA_MIN
+    seen = []
+    penalized = []
+
+    def objective(y):
+        a = np.append(y, 1.0 - y.sum())
+        excess = np.sum(np.maximum(lo - a, 0.0) + np.maximum(a - hi, 0.0))
+        if excess > 0.0:
+            penalized.append(y.copy())
+            a = np.clip(a, lo, hi)
+            a = a / a.sum()
+            value = float(np.nanmax(angle_tables(a[None, :]))) + 10.0 * float(excess)
+        else:
+            value = float(np.nanmax(angle_tables(a[None, :])))
+        seen.append((y.copy(), value))
+        return value
+
+    options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": 4000, "maxfev": 4000}
+    best_y = np.asarray(start[:3])
+    best_val = objective(best_y)
+    for _ in range(4):
+        res = minimize(objective, best_y, method="Nelder-Mead", options=options)
+        improved = best_val - res.fun
+        if res.fun < best_val:
+            best_val, best_y = float(res.fun), res.x
+        if res.success and improved < 1e-10:
+            break
+    assert penalized
+    angles = np.clip(np.append(best_y, 1.0 - best_y.sum()), lo, hi)
+    angles = angles / angles.sum()
+    want_value = float(np.nanmax(angle_tables(angles[None, :])))
+
+    objectives = []
+
+    def spy(fun, x0, **kwargs):
+        objectives.append(fun)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(extremal, "minimize", spy)
+    point, value = refine_minimum(SimplexPoint(start), 1e-10)
+    assert point.angles == tuple(float(a) for a in angles)
+    assert value == want_value
+    # Nelder-Mead only ranks values, so compare every evaluation as well
+    assert all(objectives[0](y) == v for y, v in seen)
 
 
 def test_refine_finds_second_basin():

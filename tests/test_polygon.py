@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypergon.cli import body_to_doc
-from hypergon.disk_geometry import CirclePoint, GeodesicSide, invert_on_circle
+from hypergon.disk_geometry import CirclePoint, GeodesicSide, invert_fractions, invert_on_circle
 from hypergon.errors import DepthLimitError, DomainError, PrecisionError
 from hypergon.polygon import (
     Body,
     IdealPolygon,
+    _block_rows,
+    angle_tables,
     grow_body,
     inverted_angle_matrix,
     is_regular,
@@ -162,6 +164,40 @@ def test_matrix_row_sums_tile_sides_property(raw, rotation):
     assume(max(angles) < 0.5 - 1e-9)
     m = inverted_angle_matrix(IdealPolygon(angles, rotation))
     assert np.max(np.abs(m.row_sums() - np.asarray(angles))) < 1e-12
+
+
+def _tables_side_by_side(verts, angles):
+    """Reference tables: one inversion per reflecting side, as a loop."""
+    b, n = verts.shape
+    tables = np.empty((b, n, n))
+    for j in range(n):
+        x = invert_fractions(verts, verts[:, j : j + 1], angles[:, j : j + 1])
+        ent = (x - np.roll(x, -1, axis=1)) % 1.0
+        tables[:, j, :] = np.where(ent > 0.5, 0.0, ent)
+    idx = np.arange(n)
+    tables[:, idx, idx] = np.nan
+    return tables
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("one_row", [True, False])
+def test_angle_tables_match_side_by_side_loop_bit_for_bit(n, one_row):
+    # past one row block, the last block is partial
+    b = 1 if one_row else _block_rows(n) + 3
+    rows = np.random.default_rng(100 * n + b).standard_exponential((b, n))
+    rows /= rows.sum(axis=1, keepdims=True)
+    verts = np.concatenate([np.zeros((b, 1)), np.cumsum(rows, axis=1)[:, :-1]], axis=1) % 1.0
+    assert np.array_equal(angle_tables(rows), _tables_side_by_side(verts, rows), equal_nan=True)
+
+
+def test_inverted_angle_matrix_matches_side_by_side_loop_bit_for_bit(rng):
+    for n in range(3, 9):
+        for angles in random_angle_vectors(rng, n, 20):
+            poly = IdealPolygon(tuple(angles), rotation=0.6180339887)
+            want = _tables_side_by_side(
+                vertex_fractions(poly)[None, :], np.asarray(poly.angles)[None, :]
+            )[0]
+            assert np.array_equal(inverted_angle_matrix(poly).table, want, equal_nan=True)
 
 
 def test_matrix_entry_indexing():
