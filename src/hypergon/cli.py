@@ -10,9 +10,10 @@ Subcommands::
     render    draw a body as an SVG of geodesic arcs, colored by generation
 
 Exit codes: 0 success, 1 invalid input, 2 mathematical finding (violation
-or counterexample), 3 I/O failure.  Polygon and body documents are JSON;
-angles are decimal turn fractions.  ``HYPERGON_MAX_SIDES`` overrides the
-default growth cap.
+or counterexample), 3 I/O failure, 4 precision exhausted (growing a valid
+polygon reached arcs that double precision cannot separate).  Polygon and
+body documents are JSON; angles are decimal turn fractions.
+``HYPERGON_MAX_SIDES`` overrides the default growth cap.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disk_geometry import GeodesicSide, invert_on_circle, side_circle, unit_point
-from .errors import DomainError, HypergonError
+from .errors import DomainError, HypergonError, PrecisionError
 from .extremal import (
+    FINDING_SLACK,
     SimplexPoint,
     grid_scan,
-    minimax_objective,
     property_suite,
     refine_minimum,
     sample_simplex,
@@ -44,12 +45,13 @@ from .measures import (
     hyperbolic_area_ideal,
     hyperbolic_area_quadrature,
 )
-from .polygon import DEFAULT_MAX_SIDES, Body, IdealPolygon, grow_body
+from .polygon import DEFAULT_MAX_SIDES, Body, IdealPolygon, _side_geodesic, grow_body
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_FINDING = 2
 EXIT_IO = 3
+EXIT_PRECISION = 4
 
 
 def _max_sides() -> int:
@@ -143,14 +145,6 @@ def render_spec_from_doc(doc) -> RenderSpec:
     if "colors" in doc:
         kwargs["colors"] = tuple(str(c) for c in doc["colors"])
     return RenderSpec(**kwargs)
-
-
-def _side_geodesic(t0: float, t1: float) -> GeodesicSide:
-    """The geodesic through two boundary fractions, via the short arc."""
-    w = (t1 - t0) % 1.0
-    if w > 0.5:
-        return GeodesicSide(t1, 1.0 - w)
-    return GeodesicSide(t0, w)
 
 
 def _arc_command(t0: float, t1: float, fmt) -> str:
@@ -280,7 +274,6 @@ def _parse_step(text: str) -> float:
 
 def _cmd_extremal(args) -> int:
     report = grid_scan(args.n, args.grid, dump_path=args.dump)
-    regular = SimplexPoint((1.0 / args.n,) * args.n)
     out = {
         "n": args.n,
         "step": report.detail["step"],
@@ -299,10 +292,7 @@ def _cmd_extremal(args) -> int:
         starts = sample_simplex(args.n, args.starts, rng)
         max_dist = 0.0
         best_refined = math.inf
-        point, value = refine_minimum(SimplexPoint(report.best_point), args.tol)
-        best_refined = min(best_refined, value)
-        max_dist = max(max_dist, max(abs(a - 1.0 / args.n) for a in point.angles))
-        for row in starts:
+        for row in [report.best_point, *starts]:
             point, value = refine_minimum(SimplexPoint(tuple(row)), args.tol)
             best_refined = min(best_refined, value)
             max_dist = max(max_dist, max(abs(a - 1.0 / args.n) for a in point.angles))
@@ -312,7 +302,7 @@ def _cmd_extremal(args) -> int:
             "best_refined_value": best_refined,
             "max_distance_to_regular": max_dist,
         }
-        if best_refined < minimax_objective(regular) - 1e-12:
+        if best_refined < report.detail["regular_value"] - FINDING_SLACK:
             finding = True
     print(json.dumps(out))
     return EXIT_FINDING if finding else EXIT_OK
@@ -436,7 +426,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except HypergonError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_PRECISION if isinstance(exc, PrecisionError) else EXIT_INVALID
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

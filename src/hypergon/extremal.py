@@ -351,6 +351,42 @@ def _regular_spectrum(n: int) -> np.ndarray:
     return _sorted_spectra(table)[0]
 
 
+def _majorization_violations(rows: np.ndarray, cases) -> tuple[list[Violation], float]:
+    """Rows (B, n) whose sorted spectrum fails to majorize the regular one.
+
+    Compares the prefix sums of each row's descending spectrum with the
+    regular polygon's; a row fails when any prefix falls short by more than
+    ``MAJORIZATION_SLACK``, and is recorded at its smallest margin with case
+    number ``cases[i]``.  Returns the violations and the smallest margin.
+    """
+    n = rows.shape[1]
+    reg_prefix = np.cumsum(_regular_spectrum(n))
+    violations = []
+    min_margin = np.inf
+    chunk = max(1, 2_000_000 // (n * n))
+    for lo_idx in range(0, len(rows), chunk):
+        part = rows[lo_idx : lo_idx + chunk]
+        prefixes = np.cumsum(_sorted_spectra(angle_tables(part)), axis=1)
+        margins = prefixes - reg_prefix[None, :]
+        min_margin = min(min_margin, float(margins.min()))
+        bad = np.nonzero(np.any(margins < -MAJORIZATION_SLACK, axis=1))[0]
+        for i in bad:
+            k = int(np.argmin(margins[i]))
+            violations.append(
+                Violation(
+                    case=int(cases[lo_idx + i]),
+                    input={"angles": [float(a) for a in part[i]]},
+                    relation="prefix sums dominate the regular spectrum",
+                    observed={
+                        "prefix_index": k + 1,
+                        "sample_prefix": float(prefixes[i, k]),
+                        "regular_prefix": float(reg_prefix[k]),
+                    },
+                )
+            )
+    return violations, min_margin
+
+
 def majorization_scan(n: int, samples: int, seed: int = 0) -> ScanReport:
     """Evidence scan: does every sampled spectrum majorize the regular one?
 
@@ -362,33 +398,8 @@ def majorization_scan(n: int, samples: int, seed: int = 0) -> ScanReport:
     if samples < 1:
         raise DomainError("need at least one sample")
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    rows = sample_simplex(n, samples, rng)
-    reg_prefix = np.cumsum(_regular_spectrum(n))
-    violations = []
-    min_margin = np.inf
-    chunk = max(1, 2_000_000 // (n * n))
-    for lo_idx in range(0, samples, chunk):
-        part = rows[lo_idx : lo_idx + chunk]
-        spectra = _sorted_spectra(angle_tables(part))
-        prefixes = np.cumsum(spectra, axis=1)
-        margins = prefixes - reg_prefix[None, :]
-        min_margin = min(min_margin, float(margins.min()))
-        bad = np.nonzero(np.any(margins < -MAJORIZATION_SLACK, axis=1))[0]
-        for i in bad:
-            k = int(np.argmin(margins[i]))
-            violations.append(
-                Violation(
-                    case=int(lo_idx + i),
-                    input={"angles": [float(a) for a in part[i]]},
-                    relation="prefix sums dominate the regular spectrum",
-                    observed={
-                        "prefix_index": k + 1,
-                        "sample_prefix": float(prefixes[i, k]),
-                        "regular_prefix": float(reg_prefix[k]),
-                    },
-                )
-            )
+    rows = sample_simplex(n, samples, np.random.default_rng(seed))
+    violations, min_margin = _majorization_violations(rows, range(samples))
     return ScanReport(
         name=f"majorization-scan-n{n}",
         size=samples,
@@ -402,9 +413,20 @@ def majorization_scan(n: int, samples: int, seed: int = 0) -> ScanReport:
     )
 
 
-def _draw_counts(rng: np.random.Generator, samples: int, lo: int, hi: int) -> np.ndarray:
-    """Per-sample side counts, drawn uniformly from lo..hi inclusive."""
-    return rng.integers(lo, hi + 1, size=samples)
+def _mixed_rows(samples: int, seed: int, n_lo: int, floor: float = ALPHA_MIN):
+    """Seeded mixed-n draws: yield ``(n, cases, rows)`` per side count.
+
+    Every case first draws its side count uniformly from ``n_lo..8``; then,
+    for each count in increasing order, its cases' angle vectors are drawn
+    with ``sample_simplex`` (angles above ``floor``).  ``cases`` holds their
+    indices among all ``samples``; counts no case drew are skipped.
+    """
+    rng = np.random.default_rng(seed)
+    ns = rng.integers(n_lo, 9, size=samples)
+    for n in range(n_lo, 9):
+        cases = np.nonzero(ns == n)[0]
+        if cases.size:
+            yield n, cases, sample_simplex(n, cases.size, rng, floor)
 
 
 def _suite_row_monotone(samples: int, seed: int):
@@ -425,7 +447,7 @@ def _suite_row_monotone(samples: int, seed: int):
                             observed={"nearer": float(ents[d]), "farther": float(ents[d + 1])},
                         )
                     )
-    return len(cases), violations, {"n_range": [3, 12]}, False
+    return len(cases), violations, {"n_range": [3, 12]}
 
 
 def _suite_point_monotone(samples: int, seed: int):
@@ -448,7 +470,7 @@ def _suite_point_monotone(samples: int, seed: int):
         )
         for i in bad
     ]
-    return samples, violations, {}, False
+    return samples, violations, {}
 
 
 def _pairwise_violations(rows, tables, pairs, relation, base_case):
@@ -478,15 +500,9 @@ def _pairwise_violations(rows, tables, pairs, relation, base_case):
 
 def _suite_side_monotone(samples: int, seed: int, adjacent: bool):
     """Shorter side inverts shorter: alpha_k < alpha_l implies ent(k,l) < ent(l,k)."""
-    rng = np.random.default_rng(seed)
     n_lo = 3 if adjacent else 4
-    ns = _draw_counts(rng, samples, n_lo, 8)
     violations = []
-    for n in range(n_lo, 9):
-        idx = np.nonzero(ns == n)[0]
-        if idx.size == 0:
-            continue
-        rows = sample_simplex(n, idx.size, rng)
+    for n, cases, rows in _mixed_rows(samples, seed, n_lo):
         tables = angle_tables(rows)
         if adjacent:
             pairs = [(k, (k + 1) % n) for k in range(n)]
@@ -499,8 +515,8 @@ def _suite_side_monotone(samples: int, seed: int, adjacent: bool):
                 if not (k == 0 and l == n - 1)
             ]
             relation = "non-adjacent sides: ent(k,l) < ent(l,k) when alpha_k < alpha_l"
-        violations.extend(_pairwise_violations(rows, tables, pairs, relation, idx))
-    return samples, violations, {"n_range": [n_lo, 8]}, False
+        violations.extend(_pairwise_violations(rows, tables, pairs, relation, cases))
+    return samples, violations, {"n_range": [n_lo, 8]}
 
 
 def _suite_regularity_break(samples: int, seed: int):
@@ -519,7 +535,7 @@ def _suite_regularity_break(samples: int, seed: int):
                     observed={"expected_regular": expect_regular, "observed_regular": got},
                 )
             )
-    return len(cases), violations, {"cases": [[n, s] for n, s, _ in cases]}, False
+    return len(cases), violations, {"cases": [[n, s] for n, s, _ in cases]}
 
 
 def _suite_nonregular_stays(samples: int, seed: int):
@@ -528,15 +544,9 @@ def _suite_nonregular_stays(samples: int, seed: int):
     Seeds keep every angle above 0.05 so two generations of growth stay
     clear of the arc-underflow guard.
     """
-    rng = np.random.default_rng(seed)
-    ns = _draw_counts(rng, samples, 3, 8)
     violations = []
-    for n in range(3, 9):
-        idx = np.nonzero(ns == n)[0]
-        if idx.size == 0:
-            continue
-        rows = sample_simplex(n, idx.size, rng, floor=0.05)
-        for i, row in zip(idx, rows):
+    for _, cases, rows in _mixed_rows(samples, seed, 3, floor=0.05):
+        for i, row in zip(cases, rows):
             if is_regular(row):
                 continue  # a random draw never is; guard anyway
             poly = IdealPolygon(tuple(row))
@@ -550,49 +560,39 @@ def _suite_nonregular_stays(samples: int, seed: int):
                             observed={"observed_regular": True},
                         )
                     )
-    return samples, violations, {"n_range": [3, 8]}, False
+    return samples, violations, {"n_range": [3, 8]}
 
 
-def _symmetric_pair_violations(rows, tables, pairs, relation):
-    violations = []
-    for i in range(rows.shape[0]):
-        for j, k in pairs:
-            a = float(tables[i, j, k])
-            b = float(tables[i, k, j])
-            if abs(a - b) > EQUALITY_TOL:
-                violations.append(
-                    Violation(
-                        case=i,
-                        input={"angles": [float(v) for v in rows[i]], "j": j + 1, "k": k + 1},
-                        relation=relation,
-                        observed={"ent_jk": a, "ent_kj": b},
-                    )
-                )
-    return violations
+def _suite_pair_symmetry(samples: int, seed: int, opposite: bool):
+    """4-gons with two pairs of equal sides have symmetric entries across them.
 
-
-def _suite_adjacent_symmetry(samples: int, seed: int):
-    """4-gons with equal adjacent pairs have symmetric corner entries."""
+    Lemma 4.1 pairs equal adjacent sides, ``(p, 1/2 - p, 1/2 - p, p)``;
+    Lemma 4.2 equal opposite sides, ``(p, 1/2 - p, p, 1/2 - p)``.
+    """
     rng = np.random.default_rng(seed)
     p = rng.uniform(2 * ALPHA_MIN, 0.5 - 2 * ALPHA_MIN, samples)
-    rows = np.stack([p, 0.5 - p, 0.5 - p, p], axis=1)
-    tables = angle_tables(rows)
-    violations = _symmetric_pair_violations(
-        rows, tables, [(0, 3), (1, 2)], "equal adjacent sides force ent(1,4)=ent(4,1), ent(2,3)=ent(3,2)"
-    )
-    return samples, violations, {}, False
-
-
-def _suite_opposite_symmetry(samples: int, seed: int):
-    """4-gons with equal opposite pairs have symmetric cross entries."""
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(2 * ALPHA_MIN, 0.5 - 2 * ALPHA_MIN, samples)
-    rows = np.stack([p, 0.5 - p, p, 0.5 - p], axis=1)
-    tables = angle_tables(rows)
-    violations = _symmetric_pair_violations(
-        rows, tables, [(0, 2), (1, 3)], "equal opposite sides force ent(1,3)=ent(3,1), ent(2,4)=ent(4,2)"
-    )
-    return samples, violations, {}, False
+    q = 0.5 - p
+    if opposite:
+        rows = np.stack([p, q, p, q], axis=1)
+        pairs = np.array([(0, 2), (1, 3)])
+        relation = "equal opposite sides force ent(1,3)=ent(3,1), ent(2,4)=ent(4,2)"
+    else:
+        rows = np.stack([p, q, q, p], axis=1)
+        pairs = np.array([(0, 3), (1, 2)])
+        relation = "equal adjacent sides force ent(1,4)=ent(4,1), ent(2,3)=ent(3,2)"
+    t = angle_tables(rows)
+    j, k = pairs[:, 0], pairs[:, 1]
+    ent_jk, ent_kj = t[:, j, k], t[:, k, j]
+    violations = [
+        Violation(
+            case=int(i),
+            input={"angles": [float(v) for v in rows[i]], "j": int(j[m]) + 1, "k": int(k[m]) + 1},
+            relation=relation,
+            observed={"ent_jk": float(ent_jk[i, m]), "ent_kj": float(ent_kj[i, m])},
+        )
+        for i, m in zip(*np.nonzero(np.abs(ent_jk - ent_kj) > EQUALITY_TOL))
+    ]
+    return samples, violations, {}
 
 
 def _suite_area_bound(samples: int, seed: int):
@@ -601,8 +601,6 @@ def _suite_area_bound(samples: int, seed: int):
     Cases 0..5 are the deterministic tightness checks at the regular
     polygon for n = 3..8; random samples follow.
     """
-    rng = np.random.default_rng(seed)
-    ns = _draw_counts(rng, samples, 3, 8)
     violations = []
     max_regular_slack = 0.0
     for case, n in enumerate(range(3, 9)):
@@ -619,24 +617,20 @@ def _suite_area_bound(samples: int, seed: int):
                 )
             )
     offset = 6
-    for n in range(3, 9):
+    for n, cases, rows in _mixed_rows(samples, seed, 3):
         bound = area_upper_bound(n)
-        idx = np.nonzero(ns == n)[0]
-        if idx.size == 0:
-            continue
-        rows = sample_simplex(n, idx.size, rng)
         areas = np.sum(side_region_area(rows), axis=1)
         bad = np.nonzero(areas > bound + FINDING_SLACK)[0]
         for i in bad:
             violations.append(
                 Violation(
-                    case=int(offset + idx[i]),
+                    case=int(offset + cases[i]),
                     input={"angles": [float(a) for a in rows[i]]},
                     relation="euclidean area <= upper bound",
                     observed={"area": float(areas[i]), "bound": bound},
                 )
             )
-    return samples + offset, violations, {"max_regular_slack": max_regular_slack}, False
+    return samples + offset, violations, {"max_regular_slack": max_regular_slack}
 
 
 def _suite_area_dominance(samples: int, seed: int):
@@ -647,16 +641,10 @@ def _suite_area_dominance(samples: int, seed: int):
     over the table.  Seeds keep every angle above 0.01 so all reflected
     arcs stay inside the area formula's clamped domain.
     """
-    rng = np.random.default_rng(seed)
-    ns = _draw_counts(rng, samples, 3, 8)
     violations = []
     min_margin = np.inf
-    for n in range(3, 9):
-        idx = np.nonzero(ns == n)[0]
-        if idx.size == 0:
-            continue
+    for n, cases, rows in _mixed_rows(samples, seed, 3, floor=0.01):
         regular_area = float(np.sum(side_region_area(_regular_spectrum(n))))
-        rows = sample_simplex(n, idx.size, rng, floor=0.01)
         spectra = _sorted_spectra(angle_tables(rows))
         areas = np.sum(side_region_area(spectra), axis=1)
         min_margin = min(min_margin, float((regular_area - areas).min()))
@@ -664,47 +652,24 @@ def _suite_area_dominance(samples: int, seed: int):
         for i in bad:
             violations.append(
                 Violation(
-                    case=int(idx[i]),
+                    case=int(cases[i]),
                     input={"angles": [float(a) for a in rows[i]]},
                     relation="body area <= regular body area (s=1)",
                     observed={"area": float(areas[i]), "regular_area": regular_area},
                 )
             )
-    return samples, violations, {"n_range": [3, 8], "min_area_margin": min_margin}, True
+    return samples, violations, {"n_range": [3, 8], "min_area_margin": min_margin}
 
 
 def _suite_majorization(samples: int, seed: int):
     """Evidence: sampled spectra majorize the regular spectrum (mixed n)."""
-    rng = np.random.default_rng(seed)
-    ns = _draw_counts(rng, samples, 3, 8)
     violations = []
     min_margin = np.inf
-    for n in range(3, 9):
-        idx = np.nonzero(ns == n)[0]
-        if idx.size == 0:
-            continue
-        reg_prefix = np.cumsum(_regular_spectrum(n))
-        rows = sample_simplex(n, idx.size, rng)
-        spectra = _sorted_spectra(angle_tables(rows))
-        prefixes = np.cumsum(spectra, axis=1)
-        margins = prefixes - reg_prefix[None, :]
-        min_margin = min(min_margin, float(margins.min()))
-        bad = np.nonzero(np.any(margins < -MAJORIZATION_SLACK, axis=1))[0]
-        for i in bad:
-            k = int(np.argmin(margins[i]))
-            violations.append(
-                Violation(
-                    case=int(idx[i]),
-                    input={"angles": [float(a) for a in rows[i]]},
-                    relation="prefix sums dominate the regular spectrum",
-                    observed={
-                        "prefix_index": k + 1,
-                        "sample_prefix": float(prefixes[i, k]),
-                        "regular_prefix": float(reg_prefix[k]),
-                    },
-                )
-            )
-    return samples, violations, {"n_range": [3, 8], "min_prefix_margin": min_margin}, True
+    for _, cases, rows in _mixed_rows(samples, seed, 3):
+        found, margin = _majorization_violations(rows, cases)
+        violations.extend(found)
+        min_margin = min(min_margin, margin)
+    return samples, violations, {"n_range": [3, 8], "min_prefix_margin": min_margin}
 
 
 _SUITES = {
@@ -714,8 +679,8 @@ _SUITES = {
     "lemma32iii": lambda samples, seed: _suite_side_monotone(samples, seed, adjacent=False),
     "lemma33": _suite_regularity_break,
     "lemma34": _suite_nonregular_stays,
-    "lemma41": _suite_adjacent_symmetry,
-    "lemma42": _suite_opposite_symmetry,
+    "lemma41": lambda samples, seed: _suite_pair_symmetry(samples, seed, opposite=False),
+    "lemma42": lambda samples, seed: _suite_pair_symmetry(samples, seed, opposite=True),
     "thm52": _suite_area_bound,
     "conj51": _suite_area_dominance,
     "conj52": _suite_majorization,
@@ -731,15 +696,15 @@ def property_suite(name: str, samples: int = 10_000, seed: int = 0) -> ScanRepor
     """Run a named property suite over seeded randomized instances.
 
     ``lemma31`` and ``lemma33`` are deterministic over their side-count
-    range and ignore ``samples``.  Suites named after conjectures are
-    marked as evidence in the report.
+    range and ignore ``samples``.  Suites named after conjectures
+    (``conj*``) are marked as evidence in the report.
     """
     if name not in _SUITES:
         raise UnknownSuiteError(f"unknown suite '{name}'; known: {', '.join(suite_names())}")
     if samples < 1:
         raise DomainError("need at least one sample")
     t0 = time.perf_counter()
-    size, violations, detail, evidence = _SUITES[name](samples, seed)
+    size, violations, detail = _SUITES[name](samples, seed)
     return ScanReport(
         name=name,
         size=size,
@@ -747,7 +712,7 @@ def property_suite(name: str, samples: int = 10_000, seed: int = 0) -> ScanRepor
         best_value=None,
         best_point=None,
         violations=tuple(violations),
-        evidence=evidence,
+        evidence=name.startswith("conj"),
         detail=detail,
         elapsed=time.perf_counter() - t0,
     )

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import hypergon.cli
 from hypergon.cli import (
     RenderSpec,
     body_to_doc,
@@ -17,6 +18,7 @@ from hypergon.cli import (
     render_svg,
 )
 from hypergon.errors import DomainError
+from hypergon.extremal import sample_simplex
 from hypergon.polygon import IdealPolygon, grow_body
 
 from conftest import random_angle_vectors
@@ -146,6 +148,15 @@ def test_cmd_grow_invalid_json_is_invalid_input(tmp_path):
     assert main(["grow", "--in", str(bad), "--generations", "1", "--out", str(tmp_path / "o.json")]) == 1
 
 
+def test_cmd_grow_precision_exhausted_exits_four(tmp_path, capsys):
+    # a valid polygon whose second generation has arcs below the guard
+    src = write_polygon(tmp_path / "thin.json", [0.3, 0.3, 0.399, 0.001])
+    out = tmp_path / "body.json"
+    assert main(["grow", "--in", str(src), "--generations", "2", "--out", str(out)]) == 4
+    assert "error: arc width underflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_grow_writes_svg(tmp_path):
     src = write_polygon(tmp_path / "d3.json", [1 / 3] * 3)
     svg = tmp_path / "fig.svg"
@@ -202,6 +213,20 @@ def test_cmd_extremal_refine_reports_basins(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["refine"]["starts"] == 3
     assert out["refine"]["best_refined_value"] <= out["best_value"] + 1e-12
+
+
+def test_cmd_extremal_refines_the_lattice_minimum_then_each_start(monkeypatch, capsys):
+    starts = []
+
+    def recording(start, tol):
+        starts.append(start.angles)
+        return start, 1.0
+
+    monkeypatch.setattr(hypergon.cli, "refine_minimum", recording)
+    assert main(["extremal", "--n", "3", "--grid", "1/100", "--refine", "--starts", "2", "--seed", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    drawn = sample_simplex(3, 2, np.random.default_rng(5))
+    assert starts == [tuple(out["best_point"])] + [tuple(float(a) for a in row) for row in drawn]
 
 
 # --- check -------------------------------------------------------------------

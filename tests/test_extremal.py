@@ -19,7 +19,7 @@ from hypergon.extremal import (
     sample_simplex,
     suite_names,
 )
-from hypergon.measures import decreasing_rearrangement, majorizes
+from hypergon.measures import MAJORIZATION_SLACK, decreasing_rearrangement, majorizes
 from hypergon.polygon import IdealPolygon, angle_tables, inverted_angle_matrix
 
 M_STAR = 0.25 - math.atan(0.5) / math.pi  # objective at the regular 4-gon
@@ -327,3 +327,92 @@ def test_suite_sizes():
     assert property_suite("lemma31", 5, 0).size == 10  # n = 3..12
     assert property_suite("lemma33", 5, 0).size == 11  # (3,1),(3,2),(4..12,1)
     assert property_suite("thm52", 50, 0).size == 56  # 6 regular cases + samples
+
+
+@pytest.mark.parametrize("name", sorted(suite_names()))
+def test_evidence_flag_follows_the_suite_id(name):
+    assert property_suite(name, samples=20, seed=1).evidence == name.startswith("conj")
+
+
+@pytest.mark.parametrize(
+    "name,pairs,relation",
+    [
+        ("lemma41", [(1, 4), (2, 3)], "equal adjacent sides force ent(1,4)=ent(4,1), ent(2,3)=ent(3,2)"),
+        ("lemma42", [(1, 3), (2, 4)], "equal opposite sides force ent(1,3)=ent(3,1), ent(2,4)=ent(4,2)"),
+    ],
+)
+def test_pair_symmetry_suites_record_asymmetric_entries(monkeypatch, name, pairs, relation):
+    # no sample has ever broken these lemmas, so plant asymmetries: one in
+    # the second pair of row 1, and one in each pair of row 3, where the first
+    # pair's ent(k,j) moves instead; a 5e-13 bump on row 0 stays inside the
+    # equality tolerance.  Row-major order puts (1, pair 2) before row 3.
+    (j1, k1), (j2, k2) = [(j - 1, k - 1) for j, k in pairs]
+    seen = {}
+
+    def planted(rows):
+        t = angle_tables(rows).copy()
+        t[0, j1, k1] += 5e-13
+        t[1, j2, k2] += 1e-6
+        t[3, k1, j1] += 2e-6
+        t[3, j2, k2] -= 3e-6
+        seen["rows"], seen["tables"] = rows, t
+        return t
+
+    monkeypatch.setattr(extremal, "angle_tables", planted)
+    report = property_suite(name, samples=5, seed=4)
+    rows, t = seen["rows"], seen["tables"]
+    expected = [(1, j2, k2), (3, j1, k1), (3, j2, k2)]
+    assert [(v.case, v.input["j"] - 1, v.input["k"] - 1) for v in report.violations] == expected
+    for v, (i, j, k) in zip(report.violations, expected):
+        assert v.input["angles"] == [float(a) for a in rows[i]]
+        assert v.relation == relation
+        assert v.observed == {"ent_jk": float(t[i, j, k]), "ent_kj": float(t[i, k, j])}
+        assert v.observed["ent_jk"] != v.observed["ent_kj"]
+
+
+def test_majorization_scan_matches_a_written_out_reference():
+    n, samples, seed = 4, 500, 42
+    rows = sample_simplex(n, samples, np.random.default_rng(seed))
+    off = ~np.eye(n, dtype=bool)
+    spectra = np.sort(angle_tables(rows)[:, off], axis=1)[:, ::-1]
+    regular = np.sort(angle_tables(np.full((1, n), 1.0 / n))[0][off])[::-1]
+    prefixes = np.cumsum(spectra, axis=1)
+    reg_prefix = np.cumsum(regular)
+    margins = prefixes - reg_prefix
+    expected = []
+    for i in range(samples):
+        if np.any(margins[i] < -MAJORIZATION_SLACK):
+            k = int(np.argmin(margins[i]))
+            expected.append(
+                {
+                    "case": i,
+                    "input": {"angles": [float(a) for a in rows[i]]},
+                    "relation": "prefix sums dominate the regular spectrum",
+                    "observed": {
+                        "prefix_index": k + 1,
+                        "sample_prefix": float(prefixes[i, k]),
+                        "regular_prefix": float(reg_prefix[k]),
+                    },
+                }
+            )
+    report = majorization_scan(n, samples, seed=seed)
+    assert expected  # the known prefix-2n counterexamples
+    assert [v.as_dict() for v in report.violations] == expected
+    assert report.detail == {"n": n, "min_prefix_margin": float(margins.min())}
+
+
+def test_conj52_numbers_each_violation_by_its_draw():
+    # mixed-n suites draw every side count first, then the angle vectors of
+    # each count in turn; a violation carries the index of its own draw
+    samples, seed = 300, 42
+    rng = np.random.default_rng(seed)
+    ns = rng.integers(3, 9, size=samples)
+    drawn = {}
+    for n in range(3, 9):
+        cases = np.nonzero(ns == n)[0]
+        for case, row in zip(cases, sample_simplex(n, cases.size, rng)):
+            drawn[int(case)] = [float(a) for a in row]
+    report = property_suite("conj52", samples=samples, seed=seed)
+    assert len(report.violations) > 1
+    for v in report.violations:
+        assert v.input["angles"] == drawn[v.case]
