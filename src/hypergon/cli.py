@@ -127,6 +127,13 @@ class RenderSpec:
     precision: int = 6
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.canvas, self.precision)):
+            raise DomainError("render canvas and precision must be integers")
+        strokes = (self.circle_stroke, self.side_stroke)
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in strokes):
+            raise DomainError("render strokes must be finite decimals")
+        if not isinstance(self.colors, tuple) or not all(isinstance(c, str) for c in self.colors):
+            raise DomainError("render colors must be a list of strings")
         if self.canvas <= 0 or self.circle_stroke <= 0 or self.side_stroke <= 0:
             raise DomainError("render sizes must be positive")
         if not 3 <= self.precision <= 12:
@@ -143,7 +150,8 @@ def render_spec_from_doc(doc) -> RenderSpec:
         if key in doc:
             kwargs[key] = doc[key]
     if "colors" in doc:
-        kwargs["colors"] = tuple(str(c) for c in doc["colors"])
+        colors = doc["colors"]
+        kwargs["colors"] = tuple(colors) if isinstance(colors, list) else colors
     return RenderSpec(**kwargs)
 
 

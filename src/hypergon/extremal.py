@@ -21,7 +21,8 @@ import numpy as np
 
 from .disk_geometry import ALPHA_MIN, invert_fractions
 from .errors import ConvergenceError, DomainError, UnknownSuiteError
-from .measures import MAJORIZATION_SLACK, area_upper_bound, euclidean_area, side_region_area
+from .measures import MAJORIZATION_SLACK, _prefix_margins, _sorted_spectra, area_upper_bound
+from .measures import euclidean_area, side_region_area
 from .polygon import IdealPolygon, _validate_angles, angle_tables, grow_body, is_regular
 
 
@@ -339,16 +340,14 @@ def _point_from_reduced(y: np.ndarray) -> SimplexPoint:
     return SimplexPoint(tuple(float(a) for a in angles))
 
 
-def _sorted_spectra(tables: np.ndarray) -> np.ndarray:
-    """Descending spectra (B, n*(n-1)) from batched tables (B, n, n)."""
-    b, n, _ = tables.shape
-    flat = tables[:, ~np.eye(n, dtype=bool)]
-    return -np.sort(-flat, axis=1)
+def _spectra(rows: np.ndarray) -> np.ndarray:
+    """Descending spectra (B, n*(n-1)) of the tables of angle vectors (B, n)."""
+    tables = angle_tables(rows)
+    return _sorted_spectra(tables[:, ~np.eye(tables.shape[1], dtype=bool)])
 
 
 def _regular_spectrum(n: int) -> np.ndarray:
-    table = angle_tables(np.full((1, n), 1.0 / n))
-    return _sorted_spectra(table)[0]
+    return _spectra(np.full((1, n), 1.0 / n))[0]
 
 
 def _majorization_violations(rows: np.ndarray, cases) -> tuple[list[Violation], float]:
@@ -360,14 +359,14 @@ def _majorization_violations(rows: np.ndarray, cases) -> tuple[list[Violation], 
     number ``cases[i]``.  Returns the violations and the smallest margin.
     """
     n = rows.shape[1]
-    reg_prefix = np.cumsum(_regular_spectrum(n))
+    regular = _regular_spectrum(n)
     violations = []
     min_margin = np.inf
     chunk = max(1, 2_000_000 // (n * n))
     for lo_idx in range(0, len(rows), chunk):
         part = rows[lo_idx : lo_idx + chunk]
-        prefixes = np.cumsum(_sorted_spectra(angle_tables(part)), axis=1)
-        margins = prefixes - reg_prefix[None, :]
+        spectra = _spectra(part)
+        margins = _prefix_margins(spectra, regular)
         min_margin = min(min_margin, float(margins.min()))
         bad = np.nonzero(np.any(margins < -MAJORIZATION_SLACK, axis=1))[0]
         for i in bad:
@@ -379,8 +378,8 @@ def _majorization_violations(rows: np.ndarray, cases) -> tuple[list[Violation], 
                     relation="prefix sums dominate the regular spectrum",
                     observed={
                         "prefix_index": k + 1,
-                        "sample_prefix": float(prefixes[i, k]),
-                        "regular_prefix": float(reg_prefix[k]),
+                        "sample_prefix": float(np.cumsum(spectra[i])[k]),
+                        "regular_prefix": float(np.cumsum(regular)[k]),
                     },
                 )
             )
@@ -645,7 +644,7 @@ def _suite_area_dominance(samples: int, seed: int):
     min_margin = np.inf
     for n, cases, rows in _mixed_rows(samples, seed, 3, floor=0.01):
         regular_area = float(np.sum(side_region_area(_regular_spectrum(n))))
-        spectra = _sorted_spectra(angle_tables(rows))
+        spectra = _spectra(rows)
         areas = np.sum(side_region_area(spectra), axis=1)
         min_margin = min(min_margin, float((regular_area - areas).min()))
         bad = np.nonzero(areas > regular_area + FINDING_SLACK)[0]

@@ -27,13 +27,17 @@ import numpy as np
 
 from .disk_geometry import ALPHA_MIN
 from .errors import DomainError
-from .polygon import IdealPolygon, vertex_fractions
+from .polygon import IdealPolygon
 
 # Slack applied to prefix-sum comparisons; spectra come from floating-point
 # inversions, so exact ties must not read as failures.
 MAJORIZATION_SLACK = 1e-12
 
 TOTAL_TOL = 1e-10
+
+# 1 - x cot(x) in powers of x^2, 2^2k |B_2k| / (2k)!: within 6e-15 relative
+# below x = 0.2, where the plain difference would lose too many digits.
+_ONE_MINUS_X_COT_X = (0.0, 1 / 3, 1 / 45, 2 / 945, 1 / 4725, 2 / 93555, 1382 / 638512875)
 
 
 def side_region_area(alpha):
@@ -48,8 +52,14 @@ def side_region_area(alpha):
     if np.any(arr < ALPHA_MIN) or np.any(arr > 0.5 - ALPHA_MIN):
         raise DomainError("alpha must be in (0, 0.5)")
     t = np.tan(np.pi * arr)
-    out = t * (1.0 - np.pi * t * (0.5 - arr))
-    return float(out) if arr.ndim == 0 else out
+    out = np.atleast_1d(t * (1.0 - np.pi * t * (0.5 - arr)))
+    # that form cancels near 1/2; there F = cot(x) (1 - x cot x) with x =
+    # pi (1/2 - alpha), whose subtraction is exact for alpha >= 1/4
+    x = np.pi * (0.5 - arr[arr > 0.25])
+    cot = 1.0 / np.tan(x)
+    small = np.polynomial.polynomial.polyval(x * x, _ONE_MINUS_X_COT_X)
+    out[np.atleast_1d(arr > 0.25)] = cot * np.where(x < 0.2, small, 1.0 - x * cot)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def euclidean_area(angles) -> float:
@@ -141,12 +151,25 @@ class AngleSpectrum:
         return float(self.values.sum())
 
 
+def _sorted_spectra(values: np.ndarray) -> np.ndarray:
+    """Decreasing rearrangements of ``values`` along the last axis."""
+    return -np.sort(-values, axis=-1)
+
+
+def _prefix_margins(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Prefix sums of spectra ``x`` less those of ``y``, along the last axis.
+
+    ``x`` majorizes ``y`` while no margin is below ``-MAJORIZATION_SLACK``.
+    """
+    return np.cumsum(x, axis=-1) - np.cumsum(y, axis=-1)
+
+
 def decreasing_rearrangement(values) -> AngleSpectrum:
     """Sort a vector into a decreasing spectrum."""
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise DomainError("cannot rearrange an empty vector")
-    return AngleSpectrum(np.sort(arr)[::-1].copy())
+    return AngleSpectrum(_sorted_spectra(arr))
 
 
 def majorizes(x: AngleSpectrum, y: AngleSpectrum) -> bool:
@@ -159,9 +182,7 @@ def majorizes(x: AngleSpectrum, y: AngleSpectrum) -> bool:
         raise DomainError("spectra must have equal length")
     if abs(x.total - y.total) > TOTAL_TOL:
         raise DomainError("spectra must have equal totals")
-    px = np.cumsum(x.values)
-    py = np.cumsum(y.values)
-    return bool(np.all(px >= py - MAJORIZATION_SLACK))
+    return bool(np.all(_prefix_margins(x.values, y.values) >= -MAJORIZATION_SLACK))
 
 
 def schur_concave_sum(spectrum: AngleSpectrum) -> float:

@@ -13,18 +13,17 @@ and each later generation reflects every polygon of the previous one across
 each of its free sides (the side shared with its parent stays fixed).  The
 union of all generations up to ``s`` is itself a convex ideal polygon whose
 boundary angles are the gaps between all vertices produced along the way.
-Growth works on each cell's vector of side widths, not on absolute vertex
-fractions.  A whole generation is reflected in one batched step, and every
-new width is computed from its parent's widths without cancellation, so
-arcs keep their relative precision.  The boundary is spliced from the
-children's widths in creation order instead of sorted.
+Tables and growth share one kernel on vectors of side widths, not vertex
+fractions, which computes every image width without cancellation, so widths
+keep their relative precision.  Growth reflects a whole generation in one
+batched step and splices the boundary in creation order, without a sort.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .disk_geometry import (
     POINT_TOL,
     CirclePoint,
     GeodesicSide,
-    invert_fractions,
+    invert_fractions,  # noqa: F401  re-exported: perfbench's tracer wraps it here
     invert_on_circle,
     wrap_unit,
 )
@@ -168,65 +167,90 @@ class InvertedAngleMatrix:
 
     def values(self) -> np.ndarray:
         """All ``n * (n - 1)`` entries in row-major order, diagonal skipped."""
-        flat = self.table[~np.eye(self.n, dtype=bool)]
-        return flat.copy()
+        return self.table[~np.eye(self.n, dtype=bool)]
 
 
-# Table entries per broadcast pass: every (rows, n, n) temporary of a block
-# holds at most this many doubles (512 KB), so working memory grows neither
-# with the batch nor with n.
-_BLOCK_ENTRIES = 65536
+# Table entries per kernel pass (64 KB); no kernel temporary holds three
+# times that, so the allocator reuses them instead of faulting in new pages.
+_BLOCK_ENTRIES = 8192
 
 
 def _block_rows(n: int) -> int:
-    """Rows of n-gons per broadcast pass."""
+    """Rows of n-gons per kernel pass."""
     return max(1, _BLOCK_ENTRIES // (n * n))
 
 
-def _tables_from_vertices(verts: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Inverted-angle tables, shape (B, n, n), for a batch of polygons.
+@lru_cache(maxsize=None)
+def _rotations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Side indices of every cyclic rotation of an n-gon, and table cells.
 
-    ``verts`` and ``angles`` are (B, n) arrays of vertex fractions and side
-    angles.  Each block of rows takes one broadcast pass: every vertex is
-    inverted across every side at once.  Inversion reverses the circular
-    order, so the image width of side ``k`` is the mod-1 difference of the
-    images of its endpoints taken backwards; noise-level negative
-    differences fold to 0 rather than to a full turn.  The diagonal is NaN.
+    Column ``t`` runs from side ``t`` once round, column ``n + t`` backwards
+    from side ``t - 1``; the image of side ``rotations[k, j]`` across side
+    ``j`` goes to the flat table cell ``cells[k - 1, j]``.
     """
-    b, n = verts.shape
-    tables = np.empty((b, n, n))
-    nxt = np.arange(1, n + 1) % n
-    step = _block_rows(n)
-    for lo in range(0, b, step):
-        v = verts[lo : lo + step]
-        # x[r, j, k]: vertex k inverted across side j
-        x = invert_fractions(v[:, None, :], v[:, :, None], angles[lo : lo + step, :, None])
-        ent = tables[lo : lo + step]
-        np.subtract(x, x[:, :, nxt], out=ent)
-        ent %= 1.0
-        ent[ent > 0.5] = 0.0
-    tables.reshape(b, n * n)[:, :: n + 1] = np.nan
-    return tables
+    side = np.arange(n)
+    rotations = np.concatenate([side + side[:, None], side - 1 - side[:, None]], axis=1) % n
+    return rotations, side * n + rotations[1:, :n]
+
+
+def _image_widths(widths: np.ndarray, free: int) -> np.ndarray:
+    """Image widths across each of the first ``free`` sides of every cell.
+
+    ``widths`` is a ``(C, n)`` array of side widths in turns, and every
+    reflecting side is narrower than 1/2.  Entry ``[k - 1, j, c]`` of the
+    ``(n - 1, free, C)`` result is the image of the ``k``-th side after side
+    ``j`` across side ``j``.  A vertex at offset ``delta`` in ``[w, 1]`` from
+    the start of a reflecting side of width ``w`` maps to ``x`` with
+    ``cot(pi x) = 2 cot(pi w) - cot(pi delta)``, so ``x = atan2(s, p) / pi``
+    with ``s = sin(pi delta)`` and ``p = 2 s cot(pi w) - cos(pi delta)``.  A
+    side of width ``g`` between two vertices then maps to ``atan2(sin(pi g),
+    s1 s2 + p1 p2) / pi``, whose terms are all non-negative, so nothing
+    cancels.  Each ``delta`` is summed from the nearer end of the reflecting
+    side; its start, a full turn round, has ``s = 0`` and ``p = 1``, so the
+    last denominator is ``p`` alone.  A side wider than 1/2 (a grown cell's
+    shared side) enters only through its sine, from the sum of the others.
+    """
+    n = widths.shape[1]
+    rotations = _rotations(n)[0]
+    # cells run along the last axis, so every step is one contiguous pass
+    arcs = np.pi * widths.T
+    rotated = arcs[rotations]
+    sums = np.zeros((n + 1, 2 * n, widths.shape[0]))  # sums[m, t]: m widths of rotation t
+    for m in range(n):
+        np.add(sums[m], rotated[m], out=sums[m + 1])
+    from_end = sums[1:n, :free]
+    from_start = sums[n - 1 : 0 : -1, n : n + free]
+    angle = np.minimum(from_end, from_start)
+    s = np.sin(angle)
+    # cos(pi delta) changes sign with the end delta is measured from
+    cos = np.copysign(np.cos(angle), from_start - from_end)
+    p = s * (2.0 / np.tan(arcs[:free])) - cos
+    den = np.concatenate([s[:-1] * s[1:] + p[:-1] * p[1:], p[-1:]])
+    sin_g = np.sin(np.minimum(arcs, sums[n - 1, n:]))
+    return np.arctan2(sin_g[rotations[1:, :free]], den) / np.pi
 
 
 def angle_tables(angle_rows: np.ndarray) -> np.ndarray:
-    """Batch inverted-angle tables for rotation-0 angle vectors, (B, n, n).
+    """Batch inverted-angle tables for angle vectors, shape (B, n, n).
 
-    One broadcast pass per block of rows; the diagonal is NaN.
+    Entry ``(j, k)`` is the width of side ``k``'s image under reflection
+    across side ``j``, from :func:`_image_widths` one block of rows at a
+    time; the diagonal is NaN.  Tables do not depend on the rotation.
     """
     a = np.atleast_2d(np.asarray(angle_rows, dtype=float))
-    v = np.zeros_like(a)
-    np.cumsum(a[:, :-1], axis=1, out=v[:, 1:])
-    v %= 1.0
-    return _tables_from_vertices(v, a)
+    b, n = a.shape
+    tables = np.empty((b, n * n))
+    tables[:, :: n + 1] = np.nan
+    cells = _rotations(n)[1]
+    step = _block_rows(n)
+    for lo in range(0, b, step):
+        tables[lo : lo + step, cells] = _image_widths(a[lo : lo + step], n).transpose(2, 0, 1)
+    return tables.reshape(b, n, n)
 
 
 def inverted_angle_matrix(poly: IdealPolygon) -> InvertedAngleMatrix:
     """The table of inverted side angles of a polygon."""
-    verts = vertex_fractions(poly)[None, :]
-    angles = np.asarray(poly.angles)[None, :]
-    table = _tables_from_vertices(verts, angles)[0]
-    return InvertedAngleMatrix(poly.n, table)
+    return InvertedAngleMatrix(poly.n, angle_tables(poly.angles)[0])
 
 
 def max_inverted_angle(poly: IdealPolygon) -> tuple[float, int, int]:
@@ -256,12 +280,13 @@ class Body:
     ``gaps[g]`` is the ``(C_g, n)`` array of side widths of the generation-
     ``g`` cells, in creation order.  A grown cell starts at the first
     endpoint of the parent side it was reflected across: its first ``n - 1``
-    widths tile that side's arc and its last one, ``1 - w``, is the shared
-    side taken the long way round.  ``boundary_angles`` are the arcs between
-    consecutive boundary vertices of the union, in positive orientation
-    starting from the smallest fraction.  ``polygons[g]`` lists the vertex
-    cycles (tuples of turn fractions) of generation ``g``; it is built from
-    the widths on first access.
+    widths tile that side's arc and come from :func:`_image_widths`, the
+    kernel of the inverted-angle tables; its last one, ``1 - w``, is the
+    shared side taken the long way round.  ``boundary_angles`` are the arcs
+    between consecutive boundary vertices of the union, in positive
+    orientation starting from the smallest fraction.  ``polygons[g]`` lists
+    the vertex cycles (tuples of turn fractions) of generation ``g``; it is
+    built from the widths on first access.
     """
 
     base: IdealPolygon
@@ -289,75 +314,13 @@ class Body:
         return tuple(out)
 
 
-def _reflect_generation(widths: np.ndarray, free: int) -> np.ndarray:
-    """Reflect every cell across each of its first ``free`` sides at once.
-
-    ``widths`` is a ``(C, n)`` array of cell side widths; the result is the
-    ``(C * free, n)`` array of the children's widths, cell by cell and side
-    by side.  With offsets measured from the reflecting side's start ``a``
-    (width ``w``), a vertex at offset ``delta`` maps to the offset ``x`` with
-    ``cot(pi x) = 2 cot(pi w) - cot(pi delta)`` (the half-plane form of the
-    reflection), which reverses the vertex order.  Each ``delta`` is a sum of
-    widths taken from the nearer endpoint of the side, and each new width is
-    evaluated directly rather than as a difference of fractions:
-
-    * next to ``a``, the image of the vertex before ``a`` is ``x`` itself;
-    * next to the side's end, the gap ``y`` from the image of the vertex
-      after the end to the end satisfies
-      ``cot(pi y) = 2 cot(pi w) + cot(pi (delta - w))``;
-    * between two images, the chord law of inversion gives
-      ``sin(pi dx) = sin(pi x1) sin(pi x2) sin(pi g) / (sin(pi delta1)
-      sin(pi delta2))`` for the source width ``g``; where that sine is
-      large the plain difference of the two offsets is used instead, which
-      is accurate there and avoids an ill-conditioned arcsine.
-
-    A cell's shared side spans the long way round; it only ever enters
-    through its sine, taken from the sum of the other widths.
-    """
-    c, n = widths.shape
-    turn = (np.arange(free)[:, None] + np.arange(n)) % n
-    cells = widths[:, turn].reshape(c * free, n)
-    w = cells[:, :1]
-    rest = cells[:, 1:]  # widths from the side's end round to its start
-    from_end = np.cumsum(rest[:, :-1], axis=1)
-    from_start = np.cumsum(rest[:, :0:-1], axis=1)[:, ::-1]
-    near_start = from_start < from_end
-    arg = np.pi * np.where(near_start, from_start, w + from_end)
-    # cot(pi delta) with delta = 1 - from_start or w + from_end
-    cot_delta = np.where(near_start, -1.0, 1.0) / np.tan(arg)
-    cot_w2 = 2.0 / np.tan(np.pi * w)
-    x = np.arctan2(1.0, cot_w2 - cot_delta) / np.pi
-    # sin(pi g) = sin(pi (1 - g)): the long way round keeps its digits in
-    # the sum of the other widths
-    source = rest[:, 1:-1]
-    source = np.where(source > 0.5, w + from_end[:, :-1] + from_start[:, 1:], source)
-    sin_x = np.sin(np.pi * x)
-    sin_dx = sin_x[:, :-1] * sin_x[:, 1:] * np.sin(np.pi * source)
-    sin_dx /= np.sin(arg[:, :-1]) * np.sin(arg[:, 1:])
-    between = np.where(
-        sin_dx < 0.5, np.arcsin(np.minimum(sin_dx, 0.5)) / np.pi, x[:, :-1] - x[:, 1:]
-    )
-    # cot(pi (delta - w)) for the vertex after the side's end
-    after = np.where(near_start[:, 0], -1.0, 1.0) / np.tan(
-        np.pi * np.where(near_start[:, 0], w[:, 0] + from_start[:, 0], from_end[:, 0])
-    )
-    children = np.empty_like(cells)
-    children[:, 0] = x[:, -1]
-    children[:, 1 : n - 2] = between[:, ::-1]
-    children[:, n - 2] = np.arctan2(1.0, cot_w2[:, 0] + after) / np.pi
-    children[:, n - 1] = 1.0 - w[:, 0]
-    if not children[:, :-1].min() >= ARC_GUARD:
-        raise PrecisionError("arc width underflow: vertices no longer separable")
-    return children
-
-
 def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) -> Body:
     """Grow the reflection body of ``poly`` through ``s`` generations.
 
     Generation 0 is the seed; generation ``g + 1`` reflects every
     generation-``g`` cell across each of its free sides (all ``n`` sides
-    for the seed, the ``n - 1`` non-shared ones afterwards), one batched
-    step per generation on the cells' width vectors.  Children come out in
+    for the seed, the ``n - 1`` non-shared ones afterwards), in one batched
+    step through the kernel of :func:`angle_tables`.  Children come out in
     creation order, which is also the positive order of the arcs they
     cover, so the boundary is the last generation's free widths in that
     order, rotated once to start at the smallest fraction; nothing is
@@ -375,8 +338,16 @@ def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) ->
         )
     widths = np.asarray(poly.angles, dtype=float)[None, :]
     gaps = [widths]
+    step = _block_rows(n)
     for g in range(s):
-        widths = _reflect_generation(widths, n if g == 0 else n - 1)
+        free = n if g == 0 else n - 1
+        children = np.empty((len(widths), free, n))
+        for lo in range(0, len(widths), step):
+            children[lo : lo + step, :, :-1] = _image_widths(widths[lo : lo + step], free)[::-1].T
+        children[:, :, -1] = 1.0 - widths[:, :free]
+        if not children[:, :, :-1].min() >= ARC_GUARD:
+            raise PrecisionError("arc width underflow: vertices no longer separable")
+        widths = children.reshape(-1, n)
         gaps.append(widths)
     arcs = (widths if s == 0 else widths[:, :-1]).reshape(-1)
     # the arcs start at the seed's first vertex; move the first vertex past

@@ -184,6 +184,13 @@ def test_cmd_area_nonregular_has_positive_slack(tmp_path, capsys):
     assert float(lines["slack"]) > 0
 
 
+def test_cmd_area_next_to_a_half_turn_stays_under_the_bound(tmp_path, capsys):
+    src = write_polygon(tmp_path / "t.json", [0.5 - 1e-10, 0.3, 0.2 + 1e-10])
+    assert main(["area", "--in", str(src)]) == 0
+    lines = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert 0 < float(lines["euclidean_area"]) < float(lines["upper_bound"])
+
+
 def test_cmd_area_hyperbolic(tmp_path, capsys):
     src = write_polygon(tmp_path / "d4.json", [0.25] * 4)
     assert main(["area", "--in", str(src), "--hyperbolic", "--cells", "100000"]) == 0
@@ -322,6 +329,29 @@ def test_render_spec_validation():
         RenderSpec(precision=2)
     with pytest.raises(DomainError):
         RenderSpec(canvas=0)
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"canvas": "720"}, "canvas and precision must be integers"),
+        ({"precision": 4.5}, "canvas and precision must be integers"),
+        ({"side_stroke": "thin"}, "strokes must be finite decimals"),
+        ({"colors": "#000000"}, "colors must be a list of strings"),
+        ({"colors": [0]}, "colors must be a list of strings"),
+    ],
+)
+def test_cmd_render_rejects_bad_spec_types(tmp_path, capsys, spec, message):
+    src = write_polygon(tmp_path / "d3.json", [1 / 3] * 3)
+    body_path = tmp_path / "b.json"
+    main(["grow", "--in", str(src), "--generations", "1", "--out", str(body_path)])
+    spec_path = tmp_path / "render.json"
+    spec_path.write_text(json.dumps(spec))
+    fig = tmp_path / "f.svg"
+    assert main(["render", "--in", str(body_path), "--out", str(fig), "--spec", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not fig.exists()
 
 
 def test_cmd_render_requires_base(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypergon.errors import DomainError
+from hypergon.extremal import FINDING_SLACK
 from hypergon.measures import (
     AngleSpectrum,
     area_upper_bound,
@@ -57,6 +58,28 @@ def test_side_region_area_closed_forms():
 @pytest.mark.parametrize("alpha", [0.25, 1.0 / 6.0, 1.0 / 3.0])
 def test_side_region_area_matches_grid_oracle(alpha):
     assert side_region_area(alpha) == pytest.approx(_region_area_gridcount(alpha), abs=1e-4)
+
+
+def test_side_region_area_holds_relative_precision_at_both_ends():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    ends = np.logspace(-12, math.log10(0.25), 120)
+    alphas = np.concatenate([ends, 0.5 - ends, np.linspace(0.2, 0.3, 41)])
+    for alpha, got in zip(alphas, side_region_area(alphas)):
+        a = mp.mpf(float(alpha))
+        t = mp.tan(mp.pi * a)
+        exact = t * (1 - mp.pi * t * (mp.mpf(1) / 2 - a))
+        assert abs(float((mp.mpf(float(got)) - exact) / exact)) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_area_bound_holds_next_to_a_half_turn(n):
+    # the thm52 relation, with one angle 1e-10 short of a half turn
+    alpha = 0.5 - 1e-10
+    rows = np.array([[alpha] + [(1 - alpha) / (n - 1)] * (n - 1)])
+    areas = np.sum(side_region_area(rows), axis=1)
+    assert np.all(areas <= area_upper_bound(n) + FINDING_SLACK)
 
 
 def test_side_region_area_vanishes_at_zero():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypergon.cli import body_to_doc
 from hypergon.disk_geometry import CirclePoint, GeodesicSide, invert_fractions, invert_on_circle
 from hypergon.errors import DepthLimitError, DomainError, PrecisionError
+from hypergon.extremal import sample_simplex
 from hypergon.polygon import (
     Body,
     IdealPolygon,
@@ -179,25 +180,75 @@ def _tables_side_by_side(verts, angles):
     return tables
 
 
+# The width kernel and the vertex inversion round differently, so the loop
+# agrees to an absolute 1e-14, not bit for bit.
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("one_row", [True, False])
 def test_angle_tables_match_side_by_side_loop_bit_for_bit(n, one_row):
     # past one row block, the last block is partial
     b = 1 if one_row else _block_rows(n) + 3
-    rows = np.random.default_rng(100 * n + b).standard_exponential((b, n))
-    rows /= rows.sum(axis=1, keepdims=True)
+    rows = sample_simplex(n, b, np.random.default_rng(100 * n + b))
     verts = np.concatenate([np.zeros((b, 1)), np.cumsum(rows, axis=1)[:, :-1]], axis=1) % 1.0
-    assert np.array_equal(angle_tables(rows), _tables_side_by_side(verts, rows), equal_nan=True)
+    got = angle_tables(rows)
+    want = _tables_side_by_side(verts, rows)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.nanmax(np.abs(got - want)) < 1e-14
 
 
 def test_inverted_angle_matrix_matches_side_by_side_loop_bit_for_bit(rng):
     for n in range(3, 9):
-        for angles in random_angle_vectors(rng, n, 20):
+        for angles in sample_simplex(n, 20, rng):
             poly = IdealPolygon(tuple(angles), rotation=0.6180339887)
             want = _tables_side_by_side(
                 vertex_fractions(poly)[None, :], np.asarray(poly.angles)[None, :]
             )[0]
-            assert np.array_equal(inverted_angle_matrix(poly).table, want, equal_nan=True)
+            got = inverted_angle_matrix(poly).table
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.nanmax(np.abs(got - want)) < 1e-14
+
+
+def _replay_table(mpmath, angles):
+    """Inverted-angle table replayed at 40 digits from the widths as given.
+
+    A vertex at offset ``delta`` from the reflecting side's start maps to
+    ``x`` with ``cot(pi x) = 2 cot(pi w) - cot(pi delta)``.  Each source
+    side's first vertex is summed from the nearer end of the reflecting
+    side and its second one lies the side's own width further on, so a row
+    that sums to 1 only in double precision still replays every width.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    a = [mp.mpf(float(x)) for x in angles]
+    n = len(a)
+
+    def image(w, delta):
+        if delta == 1:
+            return mp.mpf(0)
+        return mp.atan2(1, 2 * mp.cot(mp.pi * w) - mp.cot(mp.pi * delta)) / mp.pi
+
+    table = {}
+    for j in range(n):
+        r = [a[(j + i) % n] for i in range(n)]
+        for k in range(1, n):
+            from_end, from_start = sum(r[:k]), sum(r[k:])
+            delta = from_end if from_end <= from_start else 1 - from_start
+            table[j, (j + k) % n] = image(r[0], delta) - image(r[0], delta + r[k])
+    return table
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_angle_tables_hold_relative_precision(n):
+    mpmath = pytest.importorskip("mpmath")
+    rows = list(sample_simplex(n, 20, np.random.default_rng(n)))
+    rows.append(np.array([1e-7] + [(1 - 1e-7) / (n - 1)] * (n - 1)))
+    if n == 4:
+        rows.append(np.array([1e-10, 0.3, 0.3, 0.4 - 1e-10]))
+        rows.append(np.array([0.4999999, 0.25, 0.15, 0.1000001]))
+    for row in rows:
+        got = angle_tables(row)[0]
+        exact = _replay_table(mpmath, row)
+        worst = max(abs(float((mpmath.mpf(float(got[jk])) - e) / e)) for jk, e in exact.items())
+        assert worst < 1e-13
 
 
 def test_matrix_entry_indexing():
