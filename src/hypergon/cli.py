@@ -24,11 +24,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .disk_geometry import GeodesicSide, invert_on_circle, side_circle, unit_point
+from .disk_geometry import GeodesicSide, invert_on_circle, unit_point
 from .errors import DomainError, HypergonError, PrecisionError
 from .extremal import (
     FINDING_SLACK,
@@ -45,7 +45,7 @@ from .measures import (
     hyperbolic_area_ideal,
     hyperbolic_area_quadrature,
 )
-from .polygon import DEFAULT_MAX_SIDES, Body, IdealPolygon, _side_geodesic, grow_body
+from .polygon import DEFAULT_MAX_SIDES, Body, IdealPolygon, grow_body
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -81,13 +81,16 @@ def polygon_from_doc(doc) -> IdealPolygon:
     if "angles" not in doc:
         raise DomainError("polygon document must carry an 'angles' array")
     angles = doc["angles"]
-    if not isinstance(angles, list) or not all(isinstance(a, (int, float)) for a in angles):
+    # JSON true/false load as bool, a subclass of int, so compare exact types
+    if not isinstance(angles, list) or not all(type(a) in (int, float) for a in angles):
         raise DomainError("angles must be an array of decimals")
     n = doc.get("n", len(angles))
+    if type(n) is not int:
+        raise DomainError("n must be an integer")
     if n != len(angles):
         raise DomainError("n must match the number of angles")
     rotation = doc.get("rotation", 0.0)
-    if not isinstance(rotation, (int, float)):
+    if type(rotation) not in (int, float):
         raise DomainError("rotation must be a decimal")
     return IdealPolygon(tuple(float(a) for a in angles), float(rotation))
 
@@ -143,58 +146,39 @@ class RenderSpec:
 
 
 def render_spec_from_doc(doc) -> RenderSpec:
+    """Figure parameters from a JSON object keyed by ``RenderSpec`` fields."""
     if not isinstance(doc, dict):
         raise DomainError("render spec must be a JSON object")
-    kwargs = {}
-    for key in ("canvas", "circle_stroke", "side_stroke", "precision"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    if "colors" in doc:
-        colors = doc["colors"]
-        kwargs["colors"] = tuple(colors) if isinstance(colors, list) else colors
+    unknown = sorted(set(doc) - {f.name for f in fields(RenderSpec)})
+    if unknown:
+        raise DomainError(f"unknown render spec key '{unknown[0]}'")
+    kwargs = dict(doc)
+    if isinstance(kwargs.get("colors"), list):
+        kwargs["colors"] = tuple(kwargs["colors"])
     return RenderSpec(**kwargs)
 
 
-def _arc_command(t0: float, t1: float, fmt) -> str:
-    """SVG elliptical-arc command for the geodesic from t0 to t1.
+def _cycle_path(verts: tuple[float, ...], widths: list[float], fmt) -> str:
+    """SVG path of one cell: a geodesic arc per side, from the side widths.
 
-    Coordinates are emitted y-flipped (screen orientation).  The geodesic
-    arc always spans less than half its circle, so the large-arc flag is 0;
-    the sweep flag is chosen so the arc passes the circle point nearest the
-    origin (the bulge toward the center).
+    Coordinates are emitted y-flipped (screen orientation).  A side of width
+    ``w`` lies on the orthogonal circle of radius ``tan(pi min(w, 1 - w))``;
+    its arc spans less than half that circle, so the large-arc flag is 0,
+    and it bulges toward the origin, which sets the sweep flag exactly when
+    ``w < 1/2``.  Only the endpoints come from the vertex fractions.
     """
-    geo = _side_geodesic(t0, t1)
-    circ = side_circle(geo)
-    c = circ.center
-    cx, cy = c.x, -c.y
-    p1 = unit_point(t1)
-    x1, y1 = p1.x, -p1.y
-    p0 = unit_point(t0)
-    x0, y0 = p0.x, -p0.y
-    # nearest point of the circle to the origin, on the segment center->origin
-    scale = (circ.center_dist - circ.radius) / circ.center_dist
-    qx, qy = cx * scale, cy * scale
-    phi0 = math.atan2(y0 - cy, x0 - cx)
-    phi1 = math.atan2(y1 - cy, x1 - cx)
-    phi_q = math.atan2(qy - cy, qx - cx)
-    two_pi = 2.0 * math.pi
-    sweep = 1 if (phi_q - phi0) % two_pi < (phi1 - phi0) % two_pi else 0
-    r = fmt(circ.radius)
-    return f"A {r} {r} 0 0 {sweep} {fmt(x1)} {fmt(y1)}"
-
-
-def _cycle_path(verts: tuple[float, ...], fmt) -> str:
     p0 = unit_point(verts[0])
     cmds = [f"M {fmt(p0.x)} {fmt(-p0.y)}"]
-    n = len(verts)
-    for i in range(n):
-        cmds.append(_arc_command(verts[i], verts[(i + 1) % n], fmt))
+    for t1, w in zip(verts[1:] + verts[:1], widths):
+        r = fmt(math.tan(math.pi * min(w, 1.0 - w)))
+        p1 = unit_point(t1)
+        cmds.append(f"A {r} {r} 0 0 {int(w < 0.5)} {fmt(p1.x)} {fmt(-p1.y)}")
     cmds.append("Z")
     return " ".join(cmds)
 
 
 def render_svg(body: Body, spec: RenderSpec | None = None) -> str:
-    """Deterministic SVG of a body: unit circle plus per-generation outlines."""
+    """Deterministic SVG of a body: the unit circle, then one path per cell."""
     spec = spec or RenderSpec()
 
     def fmt(v: float) -> str:
@@ -210,10 +194,10 @@ def render_svg(body: Body, spec: RenderSpec | None = None) -> str:
         f'<circle cx="0" cy="0" r="1" fill="none" stroke="#000000" '
         f'stroke-width="{spec.circle_stroke}"/>',
     ]
-    for g, cells in enumerate(body.polygons):
+    for g, (cells, widths) in enumerate(zip(body.polygons, body.gaps)):
         color = spec.colors[g % len(spec.colors)]
-        for verts in cells:
-            d = _cycle_path(verts, fmt)
+        for verts, cell_widths in zip(cells, widths.tolist()):
+            d = _cycle_path(verts, cell_widths, fmt)
             lines.append(
                 f'<path d="{d}" fill="none" stroke="{color}" '
                 f'stroke-width="{spec.side_stroke}"/>'
@@ -260,11 +244,12 @@ def _cmd_area(args) -> int:
     poly = polygon_from_doc(_load_json(args.infile))
     area = euclidean_area(poly.angles)
     bound = area_upper_bound(poly.n)
+    # integrate first, so a rejected cell count prints nothing
+    quad = hyperbolic_area_quadrature(poly, args.cells) if args.hyperbolic else None
     print(f"euclidean_area {area:.12f}")
     print(f"upper_bound {bound:.12f}")
     print(f"slack {bound - area:.12f}")
     if args.hyperbolic:
-        quad = hyperbolic_area_quadrature(poly, args.cells)
         print(f"hyperbolic_area {quad:.12f}")
         print(f"hyperbolic_ideal {hyperbolic_area_ideal(poly.n):.12f}")
     return EXIT_OK
@@ -348,7 +333,7 @@ def _cmd_render(args) -> int:
         raise DomainError("body document lacks the 'base' polygon needed for rendering")
     poly = polygon_from_doc(doc["base"])
     generations = doc.get("generations")
-    if not isinstance(generations, int) or generations < 0:
+    if type(generations) is not int or generations < 0:
         raise DomainError("body document must carry a non-negative 'generations'")
     body = grow_body(poly, generations, _max_sides())
     spec = render_spec_from_doc(_load_json(args.spec)) if args.spec else RenderSpec()

@@ -183,7 +183,9 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     """
     if not 3 <= n <= 8:
         raise DomainError("side count must be in 3..8")
-    if not 0.0 < step <= MAX_GRID_STEP:
+    if not step > 0.0:
+        raise DomainError("grid step must be positive")
+    if step > MAX_GRID_STEP:
         raise DomainError("grid step too coarse")
     total = round(1.0 / step)
     if abs(total * step - 1.0) > 1e-9:

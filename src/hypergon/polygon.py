@@ -111,14 +111,6 @@ def _cycle_fractions(vertex_cycle) -> np.ndarray:
     return ts
 
 
-def _side_geodesic(t0: float, t1: float) -> GeodesicSide:
-    """The geodesic through two boundary fractions, via the short arc."""
-    w = (t1 - t0) % 1.0
-    if w > 0.5:
-        return GeodesicSide(t1, 1.0 - w)
-    return GeodesicSide(t0, w)
-
-
 def reflect_polygon(vertex_cycle, j: int) -> tuple[CirclePoint, ...]:
     """Reflect a vertex cycle across its side ``j`` (1-based).
 
@@ -135,7 +127,8 @@ def reflect_polygon(vertex_cycle, j: int) -> tuple[CirclePoint, ...]:
         raise DomainError(f"side index must be in 1..{n}")
     a = ts[j - 1]
     e = ts[j % n]
-    geo = _side_geodesic(a, e)
+    w = (e - a) % 1.0
+    geo = GeodesicSide(e, 1.0 - w) if w > 0.5 else GeodesicSide(a, w)
     out = [float(a), float(e)]
     for i, t in enumerate(ts):
         if i not in (j - 1, j % n):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -49,6 +50,9 @@ def test_polygon_document_round_trip(rng):
         ({"n": 3, "angles": [0.2, 0.2, 0.2]}, "sum to 1"),
         ({"n": 3, "angles": "nope"}, "array of decimals"),
         ([1, 2], "JSON object"),
+        ({"n": 3, "angles": [True, 0.5, 0.25]}, "array of decimals"),
+        ({"n": 4, "angles": [0.25] * 4, "rotation": True}, "rotation must be a decimal"),
+        ({"n": True, "angles": [0.25] * 4}, "n must be an integer"),
     ],
 )
 def test_polygon_document_diagnostics(doc, message):
@@ -191,6 +195,14 @@ def test_cmd_area_next_to_a_half_turn_stays_under_the_bound(tmp_path, capsys):
     assert 0 < float(lines["euclidean_area"]) < float(lines["upper_bound"])
 
 
+def test_cmd_area_rejects_few_cells_before_printing(tmp_path, capsys):
+    src = write_polygon(tmp_path / "d4.json", [0.25] * 4)
+    assert main(["area", "--in", str(src), "--hyperbolic", "--cells", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "resolution too low" in err
+
+
 def test_cmd_area_hyperbolic(tmp_path, capsys):
     src = write_polygon(tmp_path / "d4.json", [0.25] * 4)
     assert main(["area", "--in", str(src), "--hyperbolic", "--cells", "100000"]) == 0
@@ -213,6 +225,14 @@ def test_cmd_extremal_small_grid(capsys):
 def test_cmd_extremal_coarse_grid_rejected(capsys):
     assert main(["extremal", "--n", "4", "--grid", "1/3"]) == 1
     assert "too coarse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1/100"])
+def test_cmd_extremal_non_positive_grid_rejected(capsys, step):
+    assert main(["extremal", "--n", "4", f"--grid={step}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid step must be positive\n"
 
 
 def test_cmd_extremal_refine_reports_basins(capsys):
@@ -306,6 +326,41 @@ def test_render_seed_polygon_arcs():
     assert d.count("A 1.000000 1.000000") == 4
 
 
+ARC = re.compile(r"A (\S+) \S+ 0 0 ([01]) (\S+) (\S+)")
+
+
+@pytest.mark.parametrize(
+    "poly,s",
+    [
+        (IdealPolygon((0.45, 0.05, 4e-4, 0.4996)), 1),
+        (IdealPolygon.regular(3, 0.37), 8),
+        (IdealPolygon.regular(8, 0.9), 3),
+    ],
+)
+def test_render_arcs_follow_their_side_widths(poly, s):
+    # each arc spans its side's chord, lies on the orthogonal circle of its
+    # width, and bulges toward the origin
+    body = grow_body(poly, s)
+    root = ET.fromstring(render_svg(body, RenderSpec(precision=12)))
+    paths = root.findall("{http://www.w3.org/2000/svg}path")
+    widths = np.concatenate(body.gaps)
+    assert len(paths) == len(widths)
+    for path, cell in zip(paths, widths.tolist()):
+        d = path.get("d")
+        x0, y0 = (float(v) for v in d.split()[1:3])
+        arcs = ARC.findall(d)
+        assert len(arcs) == len(cell)
+        for (r, sweep, x1, y1), w in zip(arcs, cell):
+            x1, y1 = float(x1), float(y1)
+            chord = math.hypot(x1 - x0, y1 - y0)
+            assert chord == pytest.approx(2.0 * math.sin(math.pi * w), abs=1e-11)
+            assert abs(float(r) - math.tan(math.pi * min(w, 1.0 - w))) <= 1e-12
+            # on screen (y down) a sweep-1 arc turns clockwise, so it bulges to
+            # the left of its chord: the side where this cross product is < 0
+            assert sweep == str(int((x1 - x0) * -y0 - (y1 - y0) * -x0 < 0))
+            x0, y0 = x1, y1
+
+
 def test_render_is_byte_deterministic():
     body = grow_body(IdealPolygon((0.2, 0.3, 0.15, 0.35)), 2)
     assert render_svg(body) == render_svg(body)
@@ -339,6 +394,7 @@ def test_render_spec_validation():
         ({"side_stroke": "thin"}, "strokes must be finite decimals"),
         ({"colors": "#000000"}, "colors must be a list of strings"),
         ({"colors": [0]}, "colors must be a list of strings"),
+        ({"canvs": 900}, "unknown render spec key 'canvs'"),
     ],
 )
 def test_cmd_render_rejects_bad_spec_types(tmp_path, capsys, spec, message):
@@ -359,6 +415,18 @@ def test_cmd_render_requires_base(tmp_path):
     path = tmp_path / "b.json"
     path.write_text(json.dumps(doc))
     assert main(["render", "--in", str(path), "--out", str(tmp_path / "f.svg")]) == 1
+
+
+def test_cmd_render_rejects_boolean_generations(tmp_path, capsys):
+    doc = body_to_doc(grow_body(IdealPolygon.regular(3), 1))
+    doc["generations"] = True
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    fig = tmp_path / "f.svg"
+    assert main(["render", "--in", str(path), "--out", str(fig)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-negative 'generations'" in err
+    assert not fig.exists()
 
 
 def test_cmd_render_write_failure_is_io_error(tmp_path):
