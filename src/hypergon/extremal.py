@@ -14,7 +14,9 @@ and a counterexample is reported as a first-class finding, not an error.
 
 from __future__ import annotations
 
+import itertools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +25,8 @@ from .disk_geometry import ALPHA_MIN, invert_fractions
 from .errors import ConvergenceError, DomainError, UnknownSuiteError
 from .measures import MAJORIZATION_SLACK, _prefix_margins, _sorted_spectra, area_upper_bound
 from .measures import euclidean_area, side_region_area
-from .polygon import IdealPolygon, _validate_angles, angle_tables, grow_body, is_regular
+from .polygon import IdealPolygon, _image_blocks, _validate_angles, angle_tables, grow_body
+from .polygon import is_regular
 
 
 def minimize(*args, **kwargs):
@@ -99,11 +102,11 @@ class ScanReport:
 
 
 def _objective_batch(rows: np.ndarray) -> np.ndarray:
-    """Largest inverted angle for each angle vector in ``rows`` (B, n).
-
-    ``fmax`` skips the NaN diagonal, as ``nanmax`` does, without its checks.
-    """
-    return np.fmax.reduce(angle_tables(rows), axis=(1, 2))
+    """Largest inverted angle for each angle vector in ``rows`` (B, n)."""
+    out = np.empty(len(rows))
+    for part, images in _image_blocks(rows, rows.shape[1]):
+        out[part] = images.max(axis=(0, 1))
+    return out
 
 
 def minimax_objective(p: SimplexPoint) -> float:
@@ -142,28 +145,24 @@ def sample_simplex(
 
 
 def _lattice_rows(n: int, total: int, m_max: int):
-    """Yield integer lattice rows (B, n) summing to ``total``, parts in [1, m_max]."""
+    """Yield integer lattice rows (B, n) summing to ``total``, parts in [1, m_max].
 
-    def rec(prefix: list[int], slots: int, left: int):
-        if slots == 2:
-            lo = max(1, left - m_max)
-            hi = min(m_max, left - 1)
-            if lo > hi:
-                return
-            m = np.arange(lo, hi + 1)
-            rows = np.empty((m.size, n))
-            rows[:, : n - 2] = prefix
-            rows[:, n - 2] = m
-            rows[:, n - 1] = left - m
+    Rows come in lexicographic order, one block per choice of the first
+    ``n - 3`` parts; the last three are every pair of parts in range whose
+    remainder is in range too, at most ``m_max ** 2`` rows.
+    """
+    parts = np.arange(1, m_max + 1)
+    pairs = np.stack(np.meshgrid(parts, parts, indexing="ij"), axis=-1).reshape(-1, 2)
+    pair_sums = pairs.sum(axis=1)
+    for prefix in itertools.product(range(1, m_max + 1), repeat=n - 3):
+        last = total - sum(prefix) - pair_sums
+        keep = (last >= 1) & (last <= m_max)
+        if keep.any():
+            rows = np.empty((np.count_nonzero(keep), n))
+            rows[:, : n - 3] = prefix
+            rows[:, n - 3 : n - 1] = pairs[keep]
+            rows[:, n - 1] = last[keep]
             yield rows
-        else:
-            for m in range(1, m_max + 1):
-                rest = left - m
-                if rest < slots - 1 or rest > (slots - 1) * m_max:
-                    continue
-                yield from rec(prefix + [m], slots - 1, rest)
-
-    yield from rec([], n, total)
 
 
 def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
@@ -181,8 +180,8 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     beyond n = 5 at step 1/100 (tens of billions of points for n = 8) are
     impractical; n = 4 at step 1/200 evaluates 646,899 points in seconds.
     """
-    if not 3 <= n <= 8:
-        raise DomainError("side count must be in 3..8")
+    if not isinstance(n, (int, np.integer)) or not 3 <= n <= 8:
+        raise DomainError("side count must be an integer in 3..8")
     if not step > 0.0:
         raise DomainError("grid step must be positive")
     if step > MAX_GRID_STEP:
@@ -194,50 +193,29 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     t0 = time.perf_counter()
     regular_value = minimax_objective(SimplexPoint((1.0 / n,) * n))
 
-    buffer_rows = max(20_000, 1_600_000 // (n * n))
     best_val = np.inf
     second_val = np.inf
     best_row = None
     count = 0
-    dump = open(dump_path, "w") if dump_path else None
-    try:
+    with open(dump_path, "w") if dump_path else nullcontext() as dump:
         if dump:
             dump.write(",".join(f"alpha_{i + 1}" for i in range(n)) + ",objective\n")
-        pending: list[np.ndarray] = []
-        pending_rows = 0
-
-        def flush():
-            nonlocal best_val, second_val, best_row, count, pending, pending_rows
-            if not pending:
-                return
-            rows = np.concatenate(pending) if len(pending) > 1 else pending[0]
-            pending = []
-            pending_rows = 0
+        for rows in _lattice_rows(n, total, m_max):
             vals = _objective_batch(rows / total)
             count += len(vals)
             if dump:
                 for r, v in zip(rows, vals):
                     cols = ",".join(repr(float(x) / total) for x in r)
                     dump.write(f"{cols},{float(v)!r}\n")
-            order = np.argsort(vals, kind="stable")[:2]
-            for idx in order:
+            # the first minimizer in lattice order wins ties
+            for idx in np.argsort(vals, kind="stable")[:2]:
                 v = float(vals[idx])
                 if v < best_val:
                     second_val = best_val
                     best_val = v
-                    best_row = rows[idx].copy()
+                    best_row = rows[idx]
                 elif v < second_val:
                     second_val = v
-
-        for rows in _lattice_rows(n, total, m_max):
-            pending.append(rows)
-            pending_rows += len(rows)
-            if pending_rows >= buffer_rows:
-                flush()
-        flush()
-    finally:
-        if dump:
-            dump.close()
 
     if best_row is None:
         raise DomainError("lattice is empty for the given step")
@@ -283,8 +261,8 @@ def refine_minimum(start: SimplexPoint, tol: float = 1e-10) -> tuple[SimplexPoin
     below ``tol``; restarts the descent from the incumbent a few times to
     escape premature collapse.  Deterministic given the start.
     """
-    if tol < 1e-12:
-        raise DomainError("tolerance must be at least 1e-12")
+    if not (np.isfinite(tol) and tol >= 1e-12):
+        raise DomainError("tolerance must be finite and at least 1e-12")
     n = start.n
     lo, hi = ALPHA_MIN, 0.5 - ALPHA_MIN
 
@@ -342,14 +320,17 @@ def _point_from_reduced(y: np.ndarray) -> SimplexPoint:
     return SimplexPoint(tuple(float(a) for a in angles))
 
 
-def _spectra(rows: np.ndarray) -> np.ndarray:
-    """Descending spectra (B, n*(n-1)) of the tables of angle vectors (B, n)."""
-    tables = angle_tables(rows)
-    return _sorted_spectra(tables[:, ~np.eye(tables.shape[1], dtype=bool)])
+def _spectra(rows: np.ndarray):
+    """Yield ``(rows slice, descending spectra (b, n*(n-1)))`` per kernel block.
+
+    A spectrum is the angle vector's table entries off the diagonal, sorted.
+    """
+    for part, images in _image_blocks(rows, rows.shape[1]):
+        yield part, _sorted_spectra(images.reshape(-1, images.shape[2]).T)
 
 
 def _regular_spectrum(n: int) -> np.ndarray:
-    return _spectra(np.full((1, n), 1.0 / n))[0]
+    return next(_spectra(np.full((1, n), 1.0 / n)))[1][0]
 
 
 def _majorization_violations(rows: np.ndarray, cases) -> tuple[list[Violation], float]:
@@ -364,10 +345,7 @@ def _majorization_violations(rows: np.ndarray, cases) -> tuple[list[Violation], 
     regular = _regular_spectrum(n)
     violations = []
     min_margin = np.inf
-    chunk = max(1, 2_000_000 // (n * n))
-    for lo_idx in range(0, len(rows), chunk):
-        part = rows[lo_idx : lo_idx + chunk]
-        spectra = _spectra(part)
+    for part, spectra in _spectra(rows):
         margins = _prefix_margins(spectra, regular)
         min_margin = min(min_margin, float(margins.min()))
         bad = np.nonzero(np.any(margins < -MAJORIZATION_SLACK, axis=1))[0]
@@ -375,8 +353,8 @@ def _majorization_violations(rows: np.ndarray, cases) -> tuple[list[Violation], 
             k = int(np.argmin(margins[i]))
             violations.append(
                 Violation(
-                    case=int(cases[lo_idx + i]),
-                    input={"angles": [float(a) for a in part[i]]},
+                    case=int(cases[part.start + i]),
+                    input={"angles": [float(a) for a in rows[part.start + i]]},
                     relation="prefix sums dominate the regular spectrum",
                     observed={
                         "prefix_index": k + 1,
@@ -646,7 +624,7 @@ def _suite_area_dominance(samples: int, seed: int):
     min_margin = np.inf
     for n, cases, rows in _mixed_rows(samples, seed, 3, floor=0.01):
         regular_area = float(np.sum(side_region_area(_regular_spectrum(n))))
-        spectra = _spectra(rows)
+        spectra = np.concatenate([block for _, block in _spectra(rows)])
         areas = np.sum(side_region_area(spectra), axis=1)
         min_margin = min(min_margin, float((regular_area - areas).min()))
         bad = np.nonzero(areas > regular_area + FINDING_SLACK)[0]

@@ -223,21 +223,33 @@ def _image_widths(widths: np.ndarray, free: int) -> np.ndarray:
     return np.arctan2(sin_g[rotations[1:, :free]], den) / np.pi
 
 
+def _image_blocks(widths: np.ndarray, free: int):
+    """Yield ``(rows, images)`` for each block of ``_block_rows(n)`` rows.
+
+    ``rows`` is a slice of ``widths`` (C, n) and ``images`` the
+    :func:`_image_widths` of those rows across their first ``free`` sides.
+    This is the one loop that splits a batch into kernel passes.
+    """
+    step = _block_rows(widths.shape[1])
+    for lo in range(0, len(widths), step):
+        rows = slice(lo, lo + step)
+        yield rows, _image_widths(widths[rows], free)
+
+
 def angle_tables(angle_rows: np.ndarray) -> np.ndarray:
     """Batch inverted-angle tables for angle vectors, shape (B, n, n).
 
     Entry ``(j, k)`` is the width of side ``k``'s image under reflection
-    across side ``j``, from :func:`_image_widths` one block of rows at a
-    time; the diagonal is NaN.  Tables do not depend on the rotation.
+    across side ``j``, from :func:`_image_blocks`; the diagonal is NaN.
+    Tables do not depend on the rotation.
     """
     a = np.atleast_2d(np.asarray(angle_rows, dtype=float))
     b, n = a.shape
     tables = np.empty((b, n * n))
     tables[:, :: n + 1] = np.nan
     cells = _rotations(n)[1]
-    step = _block_rows(n)
-    for lo in range(0, b, step):
-        tables[lo : lo + step, cells] = _image_widths(a[lo : lo + step], n).transpose(2, 0, 1)
+    for rows, images in _image_blocks(a, n):
+        tables[rows, cells] = images.transpose(2, 0, 1)
     return tables.reshape(b, n, n)
 
 
@@ -331,12 +343,11 @@ def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) ->
         )
     widths = np.asarray(poly.angles, dtype=float)[None, :]
     gaps = [widths]
-    step = _block_rows(n)
     for g in range(s):
         free = n if g == 0 else n - 1
         children = np.empty((len(widths), free, n))
-        for lo in range(0, len(widths), step):
-            children[lo : lo + step, :, :-1] = _image_widths(widths[lo : lo + step], free)[::-1].T
+        for rows, images in _image_blocks(widths, free):
+            children[rows, :, :-1] = images[::-1].T
         children[:, :, -1] = 1.0 - widths[:, :free]
         if not children[:, :, :-1].min() >= ARC_GUARD:
             raise PrecisionError("arc width underflow: vertices no longer separable")

@@ -235,6 +235,15 @@ def test_cmd_extremal_non_positive_grid_rejected(capsys, step):
     assert err == "error: grid step must be positive\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cmd_extremal_non_finite_tolerance_rejected(capsys, tol):
+    argv = ["extremal", "--n", "3", "--grid", "1/100", "--refine", "--starts", "1", "--tol", tol]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: tolerance must be finite and at least 1e-12\n"
+
+
 def test_cmd_extremal_refine_reports_basins(capsys):
     assert main(["extremal", "--n", "4", "--grid", "1/100", "--refine", "--starts", "3", "--seed", "1"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -20,7 +20,7 @@ from hypergon.extremal import (
     suite_names,
 )
 from hypergon.measures import MAJORIZATION_SLACK, decreasing_rearrangement, majorizes
-from hypergon.polygon import IdealPolygon, angle_tables, inverted_angle_matrix
+from hypergon.polygon import IdealPolygon, _block_rows, angle_tables, inverted_angle_matrix
 
 M_STAR = 0.25 - math.atan(0.5) / math.pi  # objective at the regular 4-gon
 
@@ -51,6 +51,17 @@ def test_objective_dihedral_invariance(rng):
             assert abs(rolled - base) < 1e-13
         reverse = minimax_objective(SimplexPoint(tuple(row[::-1])))
         assert abs(reverse - base) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_block_seams_leave_objective_and_spectra_unchanged(n):
+    # past one kernel block, the last block is partial
+    rows = sample_simplex(n, _block_rows(n) + 3, np.random.default_rng(7 * n))
+    tables = angle_tables(rows)
+    assert np.array_equal(extremal._objective_batch(rows), np.fmax.reduce(tables, axis=(1, 2)))
+    spectra = np.concatenate([block for _, block in extremal._spectra(rows)])
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(spectra, np.sort(tables[:, off], axis=1)[:, ::-1])
 
 
 def test_objective_matches_matrix_maximum(rng):
@@ -102,6 +113,19 @@ def test_grid_scan_finds_regular_four():
     assert report.passed
 
 
+@pytest.mark.parametrize("n,total", [(3, 9), (3, 12), (4, 10), (4, 15), (5, 12), (5, 17), (4, 100)])
+def test_lattice_rows_match_a_brute_force_in_lexicographic_order(n, total):
+    # lattice order fixes the reported minimizer on ties and the dump's rows
+    m_max = (total - 1) // 2
+    got = np.concatenate(list(extremal._lattice_rows(n, total, m_max)))
+    want = [
+        (*head, total - sum(head))
+        for head in itertools.product(range(1, m_max + 1), repeat=n - 1)
+        if 1 <= total - sum(head) <= m_max
+    ]
+    assert got.tolist() == [list(map(float, row)) for row in want]
+
+
 def test_grid_scan_lattice_count_matches_brute_force():
     report = grid_scan(3, 1.0 / 100.0)
     total = 100
@@ -135,6 +159,8 @@ def test_grid_scan_rejects_non_divisor_step():
 def test_grid_scan_rejects_bad_n():
     with pytest.raises(DomainError):
         grid_scan(9, 1.0 / 100.0)
+    with pytest.raises(DomainError, match="integer"):
+        grid_scan(4.0, 1.0 / 100.0)
 
 
 def test_grid_scan_dump(tmp_path):
@@ -173,8 +199,10 @@ def test_refine_improves_on_best_grid_point():
 
 
 def test_refine_rejects_tiny_tolerance():
-    with pytest.raises(DomainError):
-        refine_minimum(SimplexPoint((0.25,) * 4), 1e-13)
+    # NaN compares false against the floor and infinity passes it
+    for tol in (1e-13, math.nan, math.inf):
+        with pytest.raises(DomainError, match="tolerance"):
+            refine_minimum(SimplexPoint((0.25,) * 4), tol)
 
 
 def test_refine_is_deterministic():
@@ -370,8 +398,10 @@ def test_pair_symmetry_suites_record_asymmetric_entries(monkeypatch, name, pairs
         assert v.observed["ent_jk"] != v.observed["ent_kj"]
 
 
-def test_majorization_scan_matches_a_written_out_reference():
-    n, samples, seed = 4, 500, 42
+# n = 8 spans four kernel blocks of 128 rows; n = 4 fits in one of 512
+@pytest.mark.parametrize("n", [4, 8])
+def test_majorization_scan_matches_a_written_out_reference(n):
+    samples, seed = 500, 42
     rows = sample_simplex(n, samples, np.random.default_rng(seed))
     off = ~np.eye(n, dtype=bool)
     spectra = np.sort(angle_tables(rows)[:, off], axis=1)[:, ::-1]

@@ -1,0 +1,100 @@
+"""Print a digest of every seeded command's output, to check byte-determinism.
+
+    python3 tools/seeded_digests.py
+
+Runs a fixed list of seeded commands from the root of the checkout, with
+``src/`` on ``PYTHONPATH``, each in the same fresh temporary directory: the
+``extremal`` scan with and without ``--refine`` and ``--dump``, every
+``check`` suite, ``grow --svg``, ``render``, ``area`` and three library
+``majorization_scan`` calls.  For each command it prints one line: its
+label, exit code, the SHA-256 of its stdout and the SHA-256 of each file it
+wrote.  Two runs of the same checkout must print the same listing, and a
+change that keeps every result must print the listing of its parent.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Input documents written into the working directory before any command.
+INPUTS = {
+    "quad.json": '{"angles": [0.2, 0.3, 0.15, 0.35]}',
+    "tri.json": '{"angles": [0.3333333333333333, 0.3333333333333333, 0.3333333333333334]}',
+    "spec.json": '{"canvas": 900, "precision": 12}',
+}
+
+SUITES = (
+    "conj51", "conj52", "lemma31", "lemma32i", "lemma32ii", "lemma32iii",
+    "lemma33", "lemma34", "lemma41", "lemma42", "thm52",
+)
+
+MAJORIZATION = (
+    "import json; from hypergon.extremal import majorization_scan; "
+    "r = majorization_scan({n}, 20000, seed=3); "
+    "print(json.dumps([r.detail, [v.as_dict() for v in r.violations]]))"
+)
+
+# (label, arguments after the interpreter, files the command writes)
+COMMANDS = [
+    ("extremal-n4-200", ["-m", "hypergon", "extremal", "--n", "4", "--grid", "1/200"], []),
+    ("extremal-n3-dump", ["-m", "hypergon", "extremal", "--n", "3", "--grid", "1/100", "--dump", "g3.csv"], ["g3.csv"]),
+    ("extremal-n5-dump", ["-m", "hypergon", "extremal", "--n", "5", "--grid", "1/100", "--dump", "g5.csv"], ["g5.csv"]),
+    (
+        "extremal-n4-refine",
+        ["-m", "hypergon", "extremal", "--n", "4", "--grid", "1/100", "--refine", "--starts", "10", "--seed", "3"],
+        [],
+    ),
+    *[
+        (f"check-{suite}", ["-m", "hypergon", "check", "--suite", suite, "--samples", "20000", "--seed", "5"], [])
+        for suite in SUITES
+    ],
+    (
+        "grow-quad-s5",
+        ["-m", "hypergon", "grow", "--in", "quad.json", "--generations", "5", "--out", "quad-body.json", "--svg", "quad.svg"],
+        ["quad-body.json", "quad.svg"],
+    ),
+    (
+        "grow-tri-s12",
+        ["-m", "hypergon", "grow", "--in", "tri.json", "--generations", "12", "--out", "tri-body.json", "--svg", "tri.svg"],
+        ["tri-body.json", "tri.svg"],
+    ),
+    (
+        "render-quad",
+        ["-m", "hypergon", "render", "--in", "quad-body.json", "--out", "quad-render.svg", "--spec", "spec.json"],
+        ["quad-render.svg"],
+    ),
+    ("area-quad", ["-m", "hypergon", "area", "--in", "quad.json", "--hyperbolic", "--cells", "200000"], []),
+    *[(f"majorization-n{n}", ["-c", MAJORIZATION.format(n=n)], []) for n in (4, 5, 8)],
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, text in INPUTS.items():
+            (work / name).write_text(text)
+        for label, argv, written in COMMANDS:
+            proc = subprocess.run([sys.executable, *argv], cwd=work, env=env, capture_output=True)
+            files = " ".join(
+                f"{name}={sha256((work / name).read_bytes()) if (work / name).exists() else 'missing'}"
+                for name in written
+            )
+            print(f"{label} exit={proc.returncode} stdout={sha256(proc.stdout)} {files}".rstrip(), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
