@@ -28,11 +28,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .disk_geometry import GeodesicSide, invert_on_circle, unit_point
+from .disk_geometry import GeodesicSide, check_count, invert_on_circle, unit_point
 from .errors import DomainError, HypergonError, PrecisionError
 from .extremal import (
     FINDING_SLACK,
-    SimplexPoint,
     grid_scan,
     property_suite,
     refine_minimum,
@@ -286,7 +285,7 @@ def _cmd_extremal(args) -> int:
         max_dist = 0.0
         best_refined = math.inf
         for row in [report.best_point, *starts]:
-            point, value = refine_minimum(SimplexPoint(tuple(row)), args.tol)
+            point, value = refine_minimum(IdealPolygon(row), args.tol)
             best_refined = min(best_refined, value)
             max_dist = max(max_dist, max(abs(a - 1.0 / args.n) for a in point.angles))
         out["refine"] = {
@@ -332,9 +331,8 @@ def _cmd_render(args) -> int:
     if not isinstance(doc, dict) or "base" not in doc:
         raise DomainError("body document lacks the 'base' polygon needed for rendering")
     poly = polygon_from_doc(doc["base"])
-    generations = doc.get("generations")
-    if type(generations) is not int or generations < 0:
-        raise DomainError("body document must carry a non-negative 'generations'")
+    message = "body document must carry a non-negative 'generations'"
+    generations = check_count(doc.get("generations"), message, lo=0)
     body = grow_body(poly, generations, _max_sides())
     spec = render_spec_from_doc(_load_json(args.spec)) if args.spec else RenderSpec()
     svg = render_svg(body, spec)

@@ -31,9 +31,13 @@ import numpy as np
 
 from .errors import DomainError, SingularInputError
 
-# Arc widths are clamped to [ALPHA_MIN, 1/2 - ALPHA_MIN]; the geometry
+# Arc widths are clamped to [ALPHA_MIN, ALPHA_MAX]; the geometry
 # degenerates at both ends of the open interval (0, 1/2).
 ALPHA_MIN = 1e-12
+ALPHA_MAX = 0.5 - ALPHA_MIN
+
+# Largest distance of a polygon's angle total (an exact ``fsum``) from 1.
+SUM_TOL = 1e-12
 
 # Turn-fraction tolerance under which two boundary points count as the same.
 POINT_TOL = 1e-10
@@ -111,7 +115,7 @@ class GeodesicSide:
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.alpha)):
             raise DomainError("side parameters must be finite")
-        if not (ALPHA_MIN <= self.alpha <= 0.5 - ALPHA_MIN):
+        if not (ALPHA_MIN <= self.alpha <= ALPHA_MAX):
             raise DomainError("alpha must be in (0, 0.5)")
         object.__setattr__(self, "a", wrap_unit(self.a))
 
@@ -161,6 +165,13 @@ class OrthoCircle:
         return abs(lhs - rhs) <= tol * rhs
 
 
+def check_count(value, message: str, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an int if it is an int or numpy integer in ``lo..hi``, else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise DomainError(message)
+    return int(value)
+
+
 def unit_point(t: float) -> PlanePoint:
     """Cartesian coordinates of the boundary point at turn fraction ``t``."""
     if not math.isfinite(t):
@@ -201,7 +212,10 @@ def invert_on_circle(beta: float, side: GeodesicSide) -> float:
     if d == 0.0:
         return wrap_unit(side.midpoint + 0.5)
     num = math.sin(_TWO_PI * abs(d))
-    den = math.cos(math.pi * side.alpha) - math.cos(_TWO_PI * d)
+    # cos(pi alpha) - cos(2 pi d) as a product: on a narrow side both
+    # cosines round to 1 and their difference keeps no digit
+    half = 0.5 * side.alpha
+    den = 2.0 * math.sin(math.pi * (abs(d) + half)) * math.sin(math.pi * (abs(d) - half))
     gap = math.atan2(num, den) / math.pi
     if d > 0.0:
         x = beta - 0.5 + gap
@@ -222,8 +236,11 @@ def invert_fractions(beta, a, alpha):
     a = np.asarray(a, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     d = beta - (a + 0.5 * alpha)
-    turn = _TWO_PI * (d - np.rint(d))
-    gap = np.arctan2(np.sin(turn), np.cos(np.pi * alpha) - np.cos(turn))
+    d = d - np.rint(d)
+    dist = np.abs(d)
+    # the product form of the denominator, as in invert_on_circle
+    den = 2.0 * np.sin(np.pi * (dist + 0.5 * alpha)) * np.sin(np.pi * (dist - 0.5 * alpha))
+    gap = np.arctan2(np.sin(_TWO_PI * d), den)
     return (beta + 0.5 + gap / np.pi) % 1.0
 
 

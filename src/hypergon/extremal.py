@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk_geometry import ALPHA_MIN, invert_fractions
+from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, invert_fractions
 from .errors import ConvergenceError, DomainError, UnknownSuiteError
 from .measures import MAJORIZATION_SLACK, _prefix_margins, _sorted_spectra, area_upper_bound
 from .measures import euclidean_area, side_region_area
-from .polygon import IdealPolygon, _image_blocks, _validate_angles, angle_tables, grow_body
-from .polygon import is_regular
+from .polygon import IdealPolygon, _image_blocks, angle_tables, grow_body, is_regular
 
 
 def minimize(*args, **kwargs):
@@ -50,18 +49,8 @@ FINDING_SLACK = 1e-12
 EQUALITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """An angle vector on the unit simplex, each entry inside (0, 1/2)."""
-
-    angles: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "angles", _validate_angles(self.angles))
-
-    @property
-    def n(self) -> int:
-        return len(self.angles)
+# A point of the angle simplex is a polygon at rotation 0.
+SimplexPoint = IdealPolygon
 
 
 @dataclass(frozen=True)
@@ -109,7 +98,7 @@ def _objective_batch(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def minimax_objective(p: SimplexPoint) -> float:
+def minimax_objective(p: IdealPolygon) -> float:
     """Largest inverted angle of the polygon with angles ``p``.
 
     Invariant under cyclic shifts and reversal of the angle vector.
@@ -127,8 +116,8 @@ def sample_simplex(
     every angle above it, which callers growing deep bodies use to stay
     clear of the arc-underflow guard.
     """
-    if n < 3 or count < 0:
-        raise DomainError("need n >= 3 and a non-negative count")
+    n = check_count(n, "need an integer n >= 3", lo=3)
+    count = check_count(count, "need a non-negative integer count", lo=0)
     if not ALPHA_MIN <= floor < 1.0 / n:
         raise DomainError("floor must be at least the clamp and below 1/n")
     out = np.empty((count, n))
@@ -136,7 +125,7 @@ def sample_simplex(
     while have < count:
         block = rng.standard_exponential((max(count - have, 16) * 2, n))
         block /= block.sum(axis=1, keepdims=True)
-        ok = (block.max(axis=1) < 0.5 - ALPHA_MIN) & (block.min(axis=1) > floor)
+        ok = (block.max(axis=1) < ALPHA_MAX) & (block.min(axis=1) > floor)
         block = block[ok]
         take = min(len(block), count - have)
         out[have : have + take] = block[:take]
@@ -180,8 +169,7 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     beyond n = 5 at step 1/100 (tens of billions of points for n = 8) are
     impractical; n = 4 at step 1/200 evaluates 646,899 points in seconds.
     """
-    if not isinstance(n, (int, np.integer)) or not 3 <= n <= 8:
-        raise DomainError("side count must be an integer in 3..8")
+    n = check_count(n, "side count must be an integer in 3..8", lo=3, hi=8)
     if not step > 0.0:
         raise DomainError("grid step must be positive")
     if step > MAX_GRID_STEP:
@@ -191,7 +179,7 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
         raise DomainError("grid step must divide a full turn")
     m_max = (total - 1) // 2  # strict alpha < 1/2
     t0 = time.perf_counter()
-    regular_value = minimax_objective(SimplexPoint((1.0 / n,) * n))
+    regular_value = minimax_objective(IdealPolygon.regular(n))
 
     best_val = np.inf
     second_val = np.inf
@@ -252,7 +240,7 @@ _REFINE_MAX_ITER = 4000
 _REFINE_RESTARTS = 4
 
 
-def refine_minimum(start: SimplexPoint, tol: float = 1e-10) -> tuple[SimplexPoint, float]:
+def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygon, float]:
     """Derivative-free simplex descent of the minimax objective.
 
     Works in the first ``n - 1`` angles (the last is pinned by the unit
@@ -264,7 +252,7 @@ def refine_minimum(start: SimplexPoint, tol: float = 1e-10) -> tuple[SimplexPoin
     if not (np.isfinite(tol) and tol >= 1e-12):
         raise DomainError("tolerance must be finite and at least 1e-12")
     n = start.n
-    lo, hi = ALPHA_MIN, 0.5 - ALPHA_MIN
+    lo, hi = ALPHA_MIN, ALPHA_MAX
 
     row = np.empty((1, n))  # reused by every evaluation
     a = row[0]
@@ -313,11 +301,9 @@ def refine_minimum(start: SimplexPoint, tol: float = 1e-10) -> tuple[SimplexPoin
     return point, float(minimax_objective(point))
 
 
-def _point_from_reduced(y: np.ndarray) -> SimplexPoint:
-    angles = np.append(y, 1.0 - y.sum())
-    angles = np.clip(angles, ALPHA_MIN, 0.5 - ALPHA_MIN)
-    angles = angles / angles.sum()
-    return SimplexPoint(tuple(float(a) for a in angles))
+def _point_from_reduced(y: np.ndarray) -> IdealPolygon:
+    angles = np.clip(np.append(y, 1.0 - y.sum()), ALPHA_MIN, ALPHA_MAX)
+    return IdealPolygon(angles / angles.sum())
 
 
 def _spectra(rows: np.ndarray):
@@ -374,8 +360,7 @@ def majorization_scan(n: int, samples: int, seed: int = 0) -> ScanReport:
     the regular polygon's.  Every failure is recorded verbatim; zero
     violations is evidence for the conjecture, never a proof.
     """
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    samples = check_count(samples, "need at least one sample", lo=1)
     t0 = time.perf_counter()
     rows = sample_simplex(n, samples, np.random.default_rng(seed))
     violations, min_margin = _majorization_violations(rows, range(samples))
@@ -680,8 +665,7 @@ def property_suite(name: str, samples: int = 10_000, seed: int = 0) -> ScanRepor
     """
     if name not in _SUITES:
         raise UnknownSuiteError(f"unknown suite '{name}'; known: {', '.join(suite_names())}")
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    samples = check_count(samples, "need at least one sample", lo=1)
     t0 = time.perf_counter()
     size, violations, detail = _SUITES[name](samples, seed)
     return ScanReport(

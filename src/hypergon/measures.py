@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk_geometry import ALPHA_MIN
+from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count
 from .errors import DomainError
-from .polygon import IdealPolygon
+from .polygon import IdealPolygon, _validate_angles
 
 # Slack applied to prefix-sum comparisons; spectra come from floating-point
 # inversions, so exact ties must not read as failures.
@@ -49,7 +49,7 @@ def side_region_area(alpha):
     arr = np.asarray(alpha, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise DomainError("alpha must be finite")
-    if np.any(arr < ALPHA_MIN) or np.any(arr > 0.5 - ALPHA_MIN):
+    if np.any(arr < ALPHA_MIN) or np.any(arr > ALPHA_MAX):
         raise DomainError("alpha must be in (0, 0.5)")
     t = np.tan(np.pi * arr)
     out = np.atleast_1d(t * (1.0 - np.pi * t * (0.5 - arr)))
@@ -64,18 +64,12 @@ def side_region_area(alpha):
 
 def euclidean_area(angles) -> float:
     """Euclidean area of the ideal polygon with the given side angles."""
-    arr = np.asarray(angles, dtype=float)
-    if arr.ndim != 1 or arr.size < 3:
-        raise DomainError("need a flat vector of at least 3 angles")
-    if abs(arr.sum() - 1.0) > 1e-9:
-        raise DomainError("angles must sum to 1")
-    return float(np.sum(side_region_area(arr)))
+    return float(np.sum(side_region_area(_validate_angles(angles))))
 
 
 def area_upper_bound(n: int) -> float:
     """The sharp Euclidean area bound ``n * F(1/n)`` for ideal n-gons."""
-    if int(n) != n or n < 3:
-        raise DomainError("need an integer side count n >= 3")
+    n = check_count(n, "need an integer side count n >= 3", lo=3)
     t = math.tan(math.pi / n)
     return n * t * (1.0 - math.pi * (n - 2) / (2.0 * n) * t)
 
@@ -86,8 +80,7 @@ def hyperbolic_area_ideal(n: int) -> float:
     The metric ``|dz| / (1 - |z|^2)`` has curvature -4, so the ideal
     triangle measures pi/4 and each extra side adds the same.
     """
-    if int(n) != n or n < 3:
-        raise DomainError("need an integer side count n >= 3")
+    n = check_count(n, "need an integer side count n >= 3", lo=3)
     return math.pi * (n - 2) / 4.0
 
 
@@ -105,10 +98,9 @@ def hyperbolic_area_quadrature(poly: IdealPolygon, cells: int = 1_000_000) -> fl
     the cusps, absorbed by the substitution theta = cusp +/- u^2, and each
     half-side is then covered by ``cells // (2n)`` uniform Gauss cells in u.
     """
-    if cells < 10_000:
-        raise DomainError("resolution too low: need at least 10000 cells")
+    cells = check_count(cells, "resolution too low: need at least 10000 cells", lo=10_000)
     n = poly.n
-    per_half = max(1, int(cells) // (2 * n))
+    per_half = max(1, cells // (2 * n))
     total = 0.0
     for w in poly.angles:
         sec = 1.0 / math.cos(math.pi * w)

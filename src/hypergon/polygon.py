@@ -28,10 +28,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .disk_geometry import (
+    ALPHA_MAX,
     ALPHA_MIN,
     POINT_TOL,
+    SUM_TOL,
     CirclePoint,
     GeodesicSide,
+    check_count,
     invert_fractions,  # noqa: F401  re-exported: perfbench's tracer wraps it here
     invert_on_circle,
     wrap_unit,
@@ -46,16 +49,16 @@ DEFAULT_MAX_SIDES = 10**6
 REGULARITY_TOL = 1e-9
 
 
-def _validate_angles(angles) -> tuple[float, ...]:
-    angles = tuple(float(a) for a in angles)
-    if len(angles) < 3:
-        raise DomainError("a polygon needs at least 3 sides")
-    for a in angles:
-        if not (ALPHA_MIN <= a <= 0.5 - ALPHA_MIN):
-            raise DomainError("alpha must be in (0, 0.5)")
-    if abs(math.fsum(angles) - 1.0) > 1e-12:
+def _validate_angles(angles) -> np.ndarray:
+    """Flat float vector of >= 3 angles in [ALPHA_MIN, ALPHA_MAX], fsum within SUM_TOL of 1."""
+    arr = np.asarray(angles, dtype=float)
+    if arr.ndim != 1 or arr.size < 3:
+        raise DomainError("need a flat vector of at least 3 angles")
+    if not np.all((arr >= ALPHA_MIN) & (arr <= ALPHA_MAX)):
+        raise DomainError("alpha must be in (0, 0.5)")
+    if abs(math.fsum(arr.tolist()) - 1.0) > SUM_TOL:
         raise DomainError("angles must sum to 1")
-    return angles
+    return arr
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class IdealPolygon:
     rotation: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", _validate_angles(self.angles))
+        object.__setattr__(self, "angles", tuple(_validate_angles(self.angles).tolist()))
         if not math.isfinite(self.rotation):
             raise DomainError("rotation must be finite")
         object.__setattr__(self, "rotation", wrap_unit(self.rotation))
@@ -78,8 +81,7 @@ class IdealPolygon:
     @classmethod
     def regular(cls, n: int, rotation: float = 0.0) -> "IdealPolygon":
         """The regular ideal n-gon: every side angle equal to 1/n."""
-        if n < 3:
-            raise DomainError("a polygon needs at least 3 sides")
+        n = check_count(n, "a polygon needs an integer side count n >= 3", lo=3)
         return cls((1.0 / n,) * n, rotation)
 
 
@@ -106,7 +108,7 @@ def _cycle_fractions(vertex_cycle) -> np.ndarray:
     if len(ts) < 3:
         raise DomainError("a vertex cycle needs at least 3 points")
     gaps = np.diff(np.concatenate([ts, ts[:1]])) % 1.0
-    if np.any(gaps <= 0.0) or abs(gaps.sum() - 1.0) > 1e-9:
+    if np.any(gaps <= 0.0) or abs(gaps.sum() - 1.0) > SUM_TOL:
         raise DomainError("vertex cycle must be strictly ordered in the positive direction")
     return ts
 
@@ -332,9 +334,8 @@ def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) ->
     sorted.  Grown arcs keep their relative precision; growth stops with
     ``PrecisionError`` once a new arc falls below ``ARC_GUARD``.
     """
-    if s < 0 or int(s) != s:
-        raise DomainError("generation count must be a non-negative integer")
-    s = int(s)
+    s = check_count(s, "generation count must be a non-negative integer", lo=0)
+    max_sides = check_count(max_sides, "side cap must be a positive integer", lo=1)
     n = poly.n
     projected = n * (n - 1) ** s
     if projected > max_sides:

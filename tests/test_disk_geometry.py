@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergon.disk_geometry import (
+    ALPHA_MAX,
+    ALPHA_MIN,
     CirclePoint,
     GeodesicSide,
     OrthoCircle,
@@ -176,11 +178,52 @@ def test_matches_euclidean_oracle(a, alpha, beta):
     beta=st.floats(0.0, 1.0, exclude_max=True),
 )
 def test_matches_euclidean_oracle_small_alpha(a, alpha, beta):
-    # near an endpoint of a tiny side both routes lose ~1e-16/sin(pi*alpha)
-    # to a cos-cos cancellation; the bound scales accordingly
+    # near an endpoint of a tiny side the Cartesian route loses
+    # ~1e-16/sin(pi*alpha) to cancellation; the bound scales accordingly
     side = GeodesicSide(a, alpha)
     tol = 1e-12 + 2e-15 / math.sin(math.pi * alpha)
     assert circular_gap(invert_on_circle(beta, side), euclidean_image_fraction(beta, side)) < tol
+
+
+def _inversion_40_digits(mp, beta, a, alpha):
+    """Image fraction by Cartesian inversion in the side's circle, at mp precision."""
+    beta, a, alpha = mp.mpf(beta), mp.mpf(a), mp.mpf(alpha)
+    center = mp.sec(mp.pi * alpha) * mp.expjpi(2 * a + alpha)
+    radius = mp.tan(mp.pi * alpha)
+    p = mp.expjpi(2 * beta)
+    image = center + radius**2 / mp.conj(p - center)
+    return mp.arg(image) / (2 * mp.pi) % 1
+
+
+def test_inversion_holds_on_narrow_and_wide_sides():
+    # a denominator written as cos(pi alpha) - cos(2 pi d) cancels on narrow
+    # sides and is off by up to 1e-10 turns on this sweep
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    ends = np.logspace(-12, -1, 23)
+    alphas = np.concatenate([ends, 0.5 - ends])
+    fractions = (1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6)
+    worst = 0.0
+    for a in (0.0, 0.3):
+        for alpha in np.clip(alphas, ALPHA_MIN, ALPHA_MAX):
+            side = GeodesicSide(a, float(alpha))
+            for f in fractions:
+                # a point off the side's arc; its image lies on the arc
+                beta = float((a + alpha + f * (1 - alpha)) % 1.0)
+                exact = _inversion_40_digits(mp, beta, a, alpha)
+                for got in (invert_on_circle(beta, side), invert_fractions(beta, a, alpha)):
+                    err = abs(mp.mpf(float(got)) - exact)
+                    worst = max(worst, float(min(err, 1 - err)))
+    assert worst < 1e-15
+
+
+def test_narrow_side_image_stays_on_the_arc():
+    side = GeodesicSide(0.0, 1.6378937069540648e-09)
+    x = invert_on_circle(2.6378937053161708e-09, side)
+    assert 0.0 < x < side.alpha
+    assert x == pytest.approx(1.18766e-9, rel=1e-5)
+    assert f"{x:.12f}" == "0.000000001188"
 
 
 def test_vectorized_matches_scalar(rng):
