@@ -266,16 +266,19 @@ def test_image_derivative_law(rng):
 )
 def test_master_complex_identity(a, alpha, beta):
     # e^{2pi i x} = -e^{2pi i beta} (cos(pi a) - e^{-2pi i d}) / (cos(pi a) - e^{2pi i d})
-    # with d the offset of beta from the arc midpoint
+    # with d the offset of beta from the arc midpoint; the right side is
+    # evaluated at 40 digits, since in doubles cos(pi a) - cos(2 pi d)
+    # cancels when beta is near an end of a narrow side
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
     side = GeodesicSide(a, alpha)
     x = invert_on_circle(beta, side)
-    d = beta - (a + alpha / 2.0)
-    ca = math.cos(math.pi * alpha)
-    den = ca - complex(math.cos(2 * math.pi * d), math.sin(2 * math.pi * d))
-    num = ca - complex(math.cos(2 * math.pi * d), -math.sin(2 * math.pi * d))
-    rhs = -complex(math.cos(2 * math.pi * beta), math.sin(2 * math.pi * beta)) * num / den
+    d = mp.mpf(beta) - (mp.mpf(a) + mp.mpf(alpha) / 2)
+    ca = mp.cos(mp.pi * mp.mpf(alpha))
+    rhs = -mp.expjpi(2 * mp.mpf(beta)) * (ca - mp.expjpi(-2 * d)) / (ca - mp.expjpi(2 * d))
     lhs = complex(math.cos(2 * math.pi * x), math.sin(2 * math.pi * x))
-    assert abs(lhs - rhs) < 1e-12
+    assert abs(lhs - complex(rhs)) < 1e-12
 
 
 def test_strictly_decreasing_on_complementary_arc():
