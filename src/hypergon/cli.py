@@ -94,17 +94,21 @@ def polygon_from_doc(doc) -> IdealPolygon:
     return IdealPolygon(tuple(float(a) for a in angles), float(rotation))
 
 
+def body_to_json(body: Body) -> str:
+    """The body document as JSON text; the boundary arcs are formatted once,
+    and ``checksum`` is the SHA-256 of exactly that ``boundary_angles`` text."""
+    arcs = json.dumps(body.boundary_angles.tolist())
+    head = json.dumps(
+        {"n": body.base.n, "generations": body.generations, "polygon_counts": body.polygon_counts}
+    )
+    area, base = euclidean_area(body.boundary_angles), polygon_to_doc(body.base)
+    checksum = hashlib.sha256(arcs.encode()).hexdigest()
+    tail = json.dumps({"euclidean_area": area, "base": base, "checksum": checksum})
+    return f'{head[:-1]}, "boundary_angles": {arcs}, {tail[1:]}'
+
+
 def body_to_doc(body: Body) -> dict:
-    angles = body.boundary_angles.tolist()
-    return {
-        "n": body.base.n,
-        "generations": body.generations,
-        "polygon_counts": list(body.polygon_counts),
-        "boundary_angles": angles,
-        "euclidean_area": euclidean_area(body.boundary_angles),
-        "base": polygon_to_doc(body.base),
-        "checksum": hashlib.sha256(json.dumps(angles).encode()).hexdigest(),
-    }
+    return json.loads(body_to_json(body))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +231,9 @@ def _cmd_invert(args) -> int:
 def _cmd_grow(args) -> int:
     poly = polygon_from_doc(_load_json(args.infile))
     body = grow_body(poly, args.generations, _max_sides())
-    doc = body_to_doc(body)
     with open(args.out, "w") as fh:
-        # one-shot dumps uses the C encoder; json.dump streams through the
-        # pure-Python one
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(body_to_json(body))
+        fh.write("\n")
     if args.svg:
         svg = render_svg(body)
         with open(args.svg, "w") as fh:
@@ -312,14 +314,19 @@ def _cmd_check(args) -> int:
         "evidence": report.evidence,
         "violations": len(report.violations),
     }
+    # the bytes json.dumps writes for a case without violations
+    passed = '{"suite": ' + json.dumps(report.name) + ', "case": %d, "status": "pass", "detail": null}'
     out = [json.dumps(header)]
     for case in range(report.size):
         hits = by_case.get(case)
+        if not hits:
+            out.append(passed % case)
+            continue
         line = {
             "suite": report.name,
             "case": case,
-            "status": "violation" if hits else "pass",
-            "detail": {"violations": hits} if hits else None,
+            "status": "violation",
+            "detail": {"violations": hits},
         }
         out.append(json.dumps(line))
     print("\n".join(out))

@@ -49,11 +49,20 @@ DEFAULT_MAX_SIDES = 10**6
 REGULARITY_TOL = 1e-9
 
 
-def _validate_angles(angles) -> np.ndarray:
-    """Flat float vector of >= 3 angles in [ALPHA_MIN, ALPHA_MAX], fsum within SUM_TOL of 1."""
-    arr = np.asarray(angles, dtype=float)
+def _angle_vector(angles) -> np.ndarray:
+    """Flat float vector of >= 3 angles."""
+    try:
+        arr = np.asarray(angles, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("need a flat vector of decimal angles") from exc
     if arr.ndim != 1 or arr.size < 3:
         raise DomainError("need a flat vector of at least 3 angles")
+    return arr
+
+
+def _validate_angles(angles) -> np.ndarray:
+    """Flat float vector of >= 3 angles in [ALPHA_MIN, ALPHA_MAX], fsum within SUM_TOL of 1."""
+    arr = _angle_vector(angles)
     if not np.all((arr >= ALPHA_MIN) & (arr <= ALPHA_MAX)):
         raise DomainError("alpha must be in (0, 0.5)")
     if abs(math.fsum(arr.tolist()) - 1.0) > SUM_TOL:
@@ -274,9 +283,7 @@ def max_inverted_angle(poly: IdealPolygon) -> tuple[float, int, int]:
 
 def is_regular(angles, tol: float = REGULARITY_TOL) -> bool:
     """Whether all angles agree with 1/n within ``tol``."""
-    arr = np.asarray(angles, dtype=float)
-    if arr.ndim != 1 or arr.size < 3:
-        raise DomainError("need a flat vector of at least 3 angles")
+    arr = _angle_vector(angles)
     return bool(np.max(np.abs(arr - 1.0 / arr.size)) <= tol)
 
 

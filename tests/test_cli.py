@@ -19,7 +19,8 @@ from hypergon.cli import (
     render_svg,
 )
 from hypergon.errors import DomainError
-from hypergon.extremal import sample_simplex
+from hypergon.extremal import property_suite, sample_simplex, suite_names
+from hypergon.measures import euclidean_area
 from hypergon.polygon import IdealPolygon, grow_body
 
 from conftest import random_angle_vectors
@@ -115,15 +116,39 @@ def test_cmd_grow_zero_generations_echoes(tmp_path):
     assert np.allclose(sorted(doc["boundary_angles"]), sorted(angles), atol=1e-15)
 
 
-def test_cmd_grow_writes_the_body_document(tmp_path):
-    poly = IdealPolygon((0.2, 0.3, 0.15, 0.35), 0.1)
+def _grown_document_text(tmp_path, poly, generations):
+    """The body file ``grow`` writes, checked against a reference built here:
+    one json.dumps of the document's dict, with the arcs hashed apart."""
     src = write_polygon(tmp_path / "p.json", poly.angles, poly.rotation)
     out = tmp_path / "body.json"
-    assert main(["grow", "--in", str(src), "--generations", "3", "--out", str(out)]) == 0
+    assert main(["grow", "--in", str(src), "--generations", str(generations), "--out", str(out)]) == 0
     text = out.read_text()
-    assert text == json.dumps(body_to_doc(grow_body(poly, 3))) + "\n"
+    body = grow_body(poly, generations)
+    arcs = body.boundary_angles.tolist()
+    doc = {
+        "n": poly.n,
+        "generations": generations,
+        "polygon_counts": list(body.polygon_counts),
+        "boundary_angles": arcs,
+        "euclidean_area": euclidean_area(body.boundary_angles),
+        "base": {"n": poly.n, "angles": list(poly.angles), "rotation": poly.rotation},
+        "checksum": hashlib.sha256(json.dumps(arcs).encode()).hexdigest(),
+    }
+    assert text == json.dumps(doc) + "\n"
+    assert body_to_doc(body) == doc
     boundary = text.split('"boundary_angles": ', 1)[1].split("]", 1)[0] + "]"
     assert json.loads(text)["checksum"] == hashlib.sha256(boundary.encode()).hexdigest()
+    return text
+
+
+def test_cmd_grow_writes_the_body_document(tmp_path):
+    _grown_document_text(tmp_path, IdealPolygon((0.2, 0.3, 0.15, 0.35), 0.1), 3)
+
+
+def test_cmd_grow_writes_exponent_form_arcs(tmp_path):
+    # at s=6 the narrowest arcs are near 3.6e-8 and print in exponent form
+    text = _grown_document_text(tmp_path, IdealPolygon((0.2, 0.3, 0.15, 0.35), 0.1), 6)
+    assert "e-08" in text
 
 
 def test_cmd_grow_depth_cap_env(tmp_path, monkeypatch):
@@ -294,6 +319,40 @@ def test_cmd_check_conj52_reports_counterexamples(capsys):
     hits = [json.loads(l) for l in lines[1:] if json.loads(l)["status"] == "violation"]
     assert hits
     assert hits[0]["detail"]["violations"][0]["relation"].startswith("prefix sums")
+
+
+@pytest.mark.parametrize("suite", suite_names())
+def test_cmd_check_lines_match_the_report(capsys, suite):
+    # seed 7 makes conj52 record violations at 200 samples
+    samples, seed = 200, 7
+    code = main(["check", "--suite", suite, "--samples", str(samples), "--seed", str(seed)])
+    lines = capsys.readouterr().out.splitlines()
+    report = property_suite(suite, samples, seed)
+    assert code == (2 if report.violations else 0)
+    if suite == "conj52":
+        assert report.violations
+    by_case = {}
+    for v in report.violations:
+        by_case.setdefault(v.case, []).append(v.as_dict())
+    header = {
+        "suite": report.name,
+        "size": report.size,
+        "seed": report.seed,
+        "evidence": report.evidence,
+        "violations": len(report.violations),
+    }
+    expected = [json.dumps(header)]
+    for case in range(report.size):
+        hits = by_case.get(case)
+        line = {
+            "suite": report.name,
+            "case": case,
+            "status": "violation" if hits else "pass",
+            "detail": {"violations": hits} if hits else None,
+        }
+        expected.append(json.dumps(line))
+    assert lines == expected
+    assert all(json.dumps(json.loads(line)) == line for line in lines)
 
 
 def test_cmd_check_unknown_suite(capsys):

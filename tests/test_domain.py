@@ -103,3 +103,21 @@ def test_simplex_point_is_a_polygon_at_rotation_zero():
     p = SimplexPoint((0.2, 0.3, 0.5 - 1e-3, 1e-3))
     assert p.rotation == 0.0
     assert p.angles == (0.2, 0.3, 0.5 - 1e-3, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "angles,message",
+    [
+        (("a", "b", "c"), "decimal angles"),
+        (["x", "y", "z"], "decimal angles"),
+        ([[0.3], 0.3, 0.4], "decimal angles"),
+        ([1j, 0.5, 0.5], "decimal angles"),
+        # None converts to NaN, which the clamp rejects
+        ([None, 0.5, 0.5], r"alpha must be in \(0, 0.5\)"),
+    ],
+    ids=["str-tuple", "str-list", "ragged", "complex", "None"],
+)
+def test_non_numeric_angles_are_domain_errors(angles, message):
+    for check in (IdealPolygon, euclidean_area):
+        with pytest.raises(DomainError, match=message):
+            check(angles)
