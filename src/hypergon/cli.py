@@ -10,9 +10,9 @@ Subcommands::
     render    draw a body as an SVG of geodesic arcs, colored by generation
 
 Exit codes: 0 success, 1 invalid input, 2 mathematical finding (violation
-or counterexample), 3 I/O failure, 4 precision exhausted (growing a valid
-polygon reached arcs that double precision cannot separate).  Polygon and
-body documents are JSON; angles are decimal turn fractions.
+or counterexample), 3 I/O failure, 4 precision exhausted (a valid polygon
+grew arcs too close to separate, or refinement hit its iteration cap).
+Polygon and body documents are JSON; angles are decimal turn fractions.
 ``HYPERGON_MAX_SIDES`` overrides the default growth cap.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .disk_geometry import GeodesicSide, check_count, invert_on_circle, unit_point
-from .errors import DomainError, HypergonError, PrecisionError
+from .errors import ConvergenceError, DomainError, HypergonError, PrecisionError
 from .extremal import (
     FINDING_SLACK,
     grid_scan,
@@ -424,7 +424,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except HypergonError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION if isinstance(exc, PrecisionError) else EXIT_INVALID
+        exhausted = isinstance(exc, (PrecisionError, ConvergenceError))
+        return EXIT_PRECISION if exhausted else EXIT_INVALID
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -114,7 +114,8 @@ def sample_simplex(
     Normalized exponential draws are uniform on the simplex; vectors with
     an entry at or beyond the clamp are redrawn.  A larger ``floor`` keeps
     every angle above it, which callers growing deep bodies use to stay
-    clear of the arc-underflow guard.
+    clear of the arc-underflow guard.  Below 1 % acceptance, draws map onto
+    the truncated simplex as ``floor + (1 - n floor) y``, uniform there too.
     """
     n = check_count(n, "need an integer n >= 3", lo=3)
     count = check_count(count, "need a non-negative integer count", lo=0)
@@ -125,6 +126,8 @@ def sample_simplex(
     while have < count:
         block = rng.standard_exponential((max(count - have, 16) * 2, n))
         block /= block.sum(axis=1, keepdims=True)
+        if (1.0 - n * floor) ** (n - 1) < 1e-2:  # the share of plain draws above the floor
+            block = floor + (1.0 - n * floor) * block
         ok = (block.max(axis=1) < ALPHA_MAX) & (block.min(axis=1) > floor)
         block = block[ok]
         take = min(len(block), count - have)
@@ -303,7 +306,8 @@ def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygo
 
 def _point_from_reduced(y: np.ndarray) -> IdealPolygon:
     angles = np.clip(np.append(y, 1.0 - y.sum()), ALPHA_MIN, ALPHA_MAX)
-    return IdealPolygon(angles / angles.sum())
+    # normalizing can push a clamped angle back past the clamp by an ulp
+    return IdealPolygon(np.clip(angles / angles.sum(), ALPHA_MIN, ALPHA_MAX))
 
 
 def _spectra(rows: np.ndarray):
@@ -437,49 +441,47 @@ def _suite_point_monotone(samples: int, seed: int):
     return samples, violations, {}
 
 
-def _pairwise_violations(rows, tables, pairs, relation, base_case):
-    """Check ent[k,l] < ent[l,k] whenever alpha_k < alpha_l over given pairs.
+def _entry_pair_violations(rows, cases, pairs, failed, relation, names):
+    """Rows failing ``failed(alpha_j, alpha_k, ent_jk, ent_kj)`` on an ordered side pair.
 
-    Each pair is checked as given, then mirrored.
+    The predicate runs on per-row vectors for each ``(j, k)`` of ``pairs``.
+    Violations carry case ``cases[i]``, key sides and entries by the two letters
+    of ``names``, and come row by row, then in the order of ``pairs``.
     """
-    violations = []
-    for pair in pairs:
-        for k, l in (pair, pair[::-1]):
-            smaller = rows[:, k] < rows[:, l]
-            bad = np.nonzero(smaller & (tables[:, k, l] >= tables[:, l, k]))[0]
-            for i in bad:
-                violations.append(
-                    Violation(
-                        case=int(base_case[i]),
-                        input={"angles": [float(a) for a in rows[i]], "k": k + 1, "l": l + 1},
-                        relation=relation,
-                        observed={
-                            "ent_kl": float(tables[i, k, l]),
-                            "ent_lk": float(tables[i, l, k]),
-                        },
-                    )
-                )
-    return violations
+    tables = angle_tables(rows)
+    a, b = names
+    hits = []
+    for m, (j, k) in enumerate(pairs):
+        bad = failed(rows[:, j], rows[:, k], tables[:, j, k], tables[:, k, j])
+        hits.extend((int(i), m, j, k) for i in np.flatnonzero(bad))
+    hits.sort()
+    return [
+        Violation(
+            case=int(cases[i]),
+            input={"angles": [float(v) for v in rows[i]], a: j + 1, b: k + 1},
+            relation=relation,
+            observed={f"ent_{a}{b}": float(tables[i, j, k]), f"ent_{b}{a}": float(tables[i, k, j])},
+        )
+        for i, _, j, k in hits
+    ]
 
 
 def _suite_side_monotone(samples: int, seed: int, adjacent: bool):
     """Shorter side inverts shorter: alpha_k < alpha_l implies ent(k,l) < ent(l,k)."""
-    n_lo = 3 if adjacent else 4
+    n_lo, kind = (3, "adjacent") if adjacent else (4, "non-adjacent")
+    relation = f"{kind} sides: ent(k,l) < ent(l,k) when alpha_k < alpha_l"
+
+    def failed(alpha_k, alpha_l, ent_kl, ent_lk):
+        return (alpha_k < alpha_l) & (ent_kl >= ent_lk)
+
     violations = []
     for n, cases, rows in _mixed_rows(samples, seed, n_lo):
-        tables = angle_tables(rows)
         if adjacent:
             pairs = [(k, (k + 1) % n) for k in range(n)]
-            relation = "adjacent sides: ent(k,l) < ent(l,k) when alpha_k < alpha_l"
         else:
-            pairs = [
-                (k, l)
-                for k in range(n)
-                for l in range(k + 2, n)
-                if not (k == 0 and l == n - 1)
-            ]
-            relation = "non-adjacent sides: ent(k,l) < ent(l,k) when alpha_k < alpha_l"
-        violations.extend(_pairwise_violations(rows, tables, pairs, relation, cases))
+            pairs = [(k, l) for k in range(n) for l in range(k + 2, n) if (k, l) != (0, n - 1)]
+        ordered = [kl for pair in pairs for kl in (pair, pair[::-1])]
+        violations += _entry_pair_violations(rows, cases, ordered, failed, relation, "kl")
     return samples, violations, {"n_range": [n_lo, 8]}
 
 
@@ -538,25 +540,17 @@ def _suite_pair_symmetry(samples: int, seed: int, opposite: bool):
     q = 0.5 - p
     if opposite:
         rows = np.stack([p, q, p, q], axis=1)
-        pairs = np.array([(0, 2), (1, 3)])
+        pairs = [(0, 2), (1, 3)]
         relation = "equal opposite sides force ent(1,3)=ent(3,1), ent(2,4)=ent(4,2)"
     else:
         rows = np.stack([p, q, q, p], axis=1)
-        pairs = np.array([(0, 3), (1, 2)])
+        pairs = [(0, 3), (1, 2)]
         relation = "equal adjacent sides force ent(1,4)=ent(4,1), ent(2,3)=ent(3,2)"
-    t = angle_tables(rows)
-    j, k = pairs[:, 0], pairs[:, 1]
-    ent_jk, ent_kj = t[:, j, k], t[:, k, j]
-    violations = [
-        Violation(
-            case=int(i),
-            input={"angles": [float(v) for v in rows[i]], "j": int(j[m]) + 1, "k": int(k[m]) + 1},
-            relation=relation,
-            observed={"ent_jk": float(ent_jk[i, m]), "ent_kj": float(ent_kj[i, m])},
-        )
-        for i, m in zip(*np.nonzero(np.abs(ent_jk - ent_kj) > EQUALITY_TOL))
-    ]
-    return samples, violations, {}
+
+    def failed(alpha_j, alpha_k, ent_jk, ent_kj):
+        return np.abs(ent_jk - ent_kj) > EQUALITY_TOL
+
+    return samples, _entry_pair_violations(rows, range(samples), pairs, failed, relation, "jk"), {}
 
 
 def _suite_area_bound(samples: int, seed: int):

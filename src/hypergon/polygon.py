@@ -50,9 +50,13 @@ REGULARITY_TOL = 1e-9
 
 
 def _angle_vector(angles) -> np.ndarray:
-    """Flat float vector of >= 3 angles."""
+    """Flat float vector of >= 3 angles; text, bytes and bools are not numbers."""
     try:
-        arr = np.asarray(angles, dtype=float)
+        arr = np.asarray(angles)
+        kind = arr.dtype.kind  # objects such as None or Fraction convert one by one
+        if kind not in "iufO" or kind == "O" and any(isinstance(a, (str, bytes)) for a in arr.flat):
+            raise TypeError("text is not an angle")
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DomainError("need a flat vector of decimal angles") from exc
     if arr.ndim != 1 or arr.size < 3:

@@ -18,7 +18,7 @@ from hypergon.cli import (
     polygon_to_doc,
     render_svg,
 )
-from hypergon.errors import DomainError
+from hypergon.errors import ConvergenceError, DomainError
 from hypergon.extremal import property_suite, sample_simplex, suite_names
 from hypergon.measures import euclidean_area
 from hypergon.polygon import IdealPolygon, grow_body
@@ -288,6 +288,17 @@ def test_cmd_extremal_refines_the_lattice_minimum_then_each_start(monkeypatch, c
     out = json.loads(capsys.readouterr().out)
     drawn = sample_simplex(3, 2, np.random.default_rng(5))
     assert starts == [tuple(out["best_point"])] + [tuple(float(a) for a in row) for row in drawn]
+
+
+def test_cmd_extremal_exits_4_when_refinement_hits_its_cap(monkeypatch, capsys):
+    def capped(start, tol):
+        raise ConvergenceError("simplex descent hit its iteration cap", start, 1.0)
+
+    monkeypatch.setattr(hypergon.cli, "refine_minimum", capped)
+    assert main(["extremal", "--n", "3", "--grid", "1/100", "--refine", "--starts", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: simplex descent hit its iteration cap\n"
 
 
 # --- check -------------------------------------------------------------------

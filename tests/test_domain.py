@@ -6,6 +6,7 @@ an angle vector or a side width applies the same clamp and the same sum test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypergon import (
     grow_body,
     hyperbolic_area_ideal,
     hyperbolic_area_quadrature,
+    is_regular,
     majorization_scan,
     property_suite,
     sample_simplex,
@@ -114,10 +116,28 @@ def test_simplex_point_is_a_polygon_at_rotation_zero():
         ([1j, 0.5, 0.5], "decimal angles"),
         # None converts to NaN, which the clamp rejects
         ([None, 0.5, 0.5], r"alpha must be in \(0, 0.5\)"),
+        # text that float() would parse is still not a number
+        (("0.3", "0.3", "0.4"), "decimal angles"),
+        (["0.3", "0.3", "0.4"], "decimal angles"),
+        ((b"0.3", 0.3, 0.4), "decimal angles"),
+        ((Fraction(3, 10), "0.3", Fraction(2, 5)), "decimal angles"),
+        ([True, True, False], "decimal angles"),
     ],
-    ids=["str-tuple", "str-list", "ragged", "complex", "None"],
+    ids=["str-tuple", "str-list", "ragged", "complex", "None", "numeric-str-tuple",
+         "numeric-str-list", "bytes", "str-among-objects", "bool"],
 )
 def test_non_numeric_angles_are_domain_errors(angles, message):
     for check in (IdealPolygon, euclidean_area):
         with pytest.raises(DomainError, match=message):
             check(angles)
+
+
+@pytest.mark.parametrize("angles", [["0.25"] * 4, [b"0.25"] * 4], ids=["str", "bytes"])
+def test_is_regular_rejects_text(angles):
+    with pytest.raises(DomainError, match="decimal angles"):
+        is_regular(angles)
+
+
+def test_numeric_objects_convert_one_by_one():
+    assert IdealPolygon((Fraction(1, 4),) * 4).angles == (0.25,) * 4
+    assert is_regular([Fraction(1, 3)] * 3)

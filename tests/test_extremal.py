@@ -1,7 +1,10 @@
 """Minimax objective, lattice scan, refinement, and the property suites."""
 
+import ast
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +95,22 @@ def test_sample_simplex_domain_and_determinism():
 def test_sample_simplex_floor():
     rows = sample_simplex(3, 100, np.random.default_rng(1), floor=0.1)
     assert rows.min() > 0.1
+
+
+def test_sample_simplex_floor_near_one_over_n_returns():
+    # plain rejection keeps about 1e-14 of the draws at this floor and would
+    # never return, so the draw runs in a child process with a timeout
+    code = (
+        "import numpy as np; from hypergon.extremal import sample_simplex; "
+        "print(sample_simplex(3, 4, np.random.default_rng(0), floor=0.3333333).tolist())"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    rows = np.array(ast.literal_eval(child.stdout))
+    assert rows.shape == (4, 3)
+    assert rows.min() > 0.3333333
+    for row in rows:
+        IdealPolygon(tuple(row))  # in the clamp, summing to 1
 
 
 def test_sample_simplex_rejects_bad_args():
@@ -272,6 +291,16 @@ def test_refine_finds_second_basin():
     assert value > M_STAR + 4e-3
 
 
+def test_refine_returns_a_valid_polygon_from_a_vanishing_side():
+    # start 11 of this draw descends onto the face where side 1 vanishes, at
+    # the 4-gon's second basin; normalizing the clamped end point used to
+    # leave side 1 just below ALPHA_MIN
+    start = sample_simplex(5, 30, np.random.default_rng(3))[11]
+    point, value = refine_minimum(IdealPolygon(start), 1e-10)
+    assert point.angles[0] == ALPHA_MIN
+    assert value == pytest.approx(LOCAL_MIN_VALUE, abs=1e-8)
+
+
 # --- majorization scan ------------------------------------------------------------
 
 
@@ -396,6 +425,51 @@ def test_pair_symmetry_suites_record_asymmetric_entries(monkeypatch, name, pairs
         assert v.relation == relation
         assert v.observed == {"ent_jk": float(t[i, j, k]), "ent_kj": float(t[i, k, j])}
         assert v.observed["ent_jk"] != v.observed["ent_kj"]
+
+
+@pytest.mark.parametrize(
+    "name,pairs,relation",
+    [
+        ("lemma32ii", [(1, 2), (2, 3)], "adjacent sides: ent(k,l) < ent(l,k) when alpha_k < alpha_l"),
+        ("lemma32iii", [(1, 3), (2, 4)], "non-adjacent sides: ent(k,l) < ent(l,k) when alpha_k < alpha_l"),
+    ],
+)
+def test_side_monotone_suites_record_inverted_entries(monkeypatch, name, pairs, relation):
+    # no sample has ever broken Lemma 3.2, so plant breaks in the first side
+    # count drawn at least twice: in the second pair of its first row, and in
+    # both pairs of its second row, where the first pair's entries tie
+    # exactly.  Row-major order puts (row 0, pair 2) before (row 1, pair 1).
+    samples, seed, n_lo = 12, 4, 3 if name == "lemma32ii" else 4
+    ns = np.random.default_rng(seed).integers(n_lo, 9, size=samples)
+    n = next(m for m in range(n_lo, 9) if np.count_nonzero(ns == m) >= 2)
+    cases = np.nonzero(ns == n)[0]
+    breaks = [(0, pairs[1], 1e-6), (1, pairs[0], 0.0), (1, pairs[1], 2e-6)]
+    seen = {}
+
+    def shorter_first(row, p, q):
+        return (p - 1, q - 1) if row[p - 1] < row[q - 1] else (q - 1, p - 1)
+
+    def planted(rows):
+        t = angle_tables(rows).copy()
+        if rows.shape[1] == n:
+            for i, (p, q), bump in breaks:
+                k, l = shorter_first(rows[i], p, q)
+                t[i, k, l] = t[i, l, k] + bump
+            seen["rows"], seen["tables"] = rows, t
+        return t
+
+    monkeypatch.setattr(extremal, "angle_tables", planted)
+    report = property_suite(name, samples=samples, seed=seed)
+    rows, t = seen["rows"], seen["tables"]
+    expected = [(i, *shorter_first(rows[i], p, q)) for i, (p, q), _ in breaks]
+    got = [(v.case, v.input["k"] - 1, v.input["l"] - 1) for v in report.violations]
+    assert got == [(int(cases[i]), k, l) for i, k, l in expected]
+    for v, (i, k, l) in zip(report.violations, expected):
+        assert v.input["angles"] == [float(a) for a in rows[i]]
+        assert v.relation == relation
+        assert v.observed == {"ent_kl": float(t[i, k, l]), "ent_lk": float(t[i, l, k])}
+        assert rows[i, k] < rows[i, l]
+        assert v.observed["ent_kl"] >= v.observed["ent_lk"]
 
 
 # n = 8 spans four kernel blocks of 128 rows; n = 4 fits in one of 512
