@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -353,6 +354,13 @@ def _cmd_render(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a value that starts with '-' as an option unless it
+        # is a plain decimal; let -1/100, -0.1,0.25 and -1e-3 through as
+        # values too.  Subparsers are built from this class.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.exit(EXIT_INVALID, f"error: {message}\n")
 

@@ -71,6 +71,26 @@ class Violation:
         }
 
 
+def _violations(relation: str, cases, inputs: dict, observed: dict) -> list[Violation]:
+    """One violation per entry of ``cases``, in order; the one place records are built.
+
+    ``inputs`` and ``observed`` map each record key to a column holding one
+    value per case.  A scalar is shared by every case, and so is a one-row
+    array (an angle vector counts as one value).  Each column becomes
+    Python values (int, float, bool, str) in one conversion.
+    """
+    cases = np.asarray(cases, dtype=int).tolist()
+
+    def records(columns: dict) -> list[dict]:
+        values = [np.broadcast_to(c, (len(cases), *np.shape(c)[1:])).tolist() for c in columns.values()]
+        return [dict(zip(columns, row)) for row in zip(*values)]
+
+    return [
+        Violation(case, given, relation, seen)
+        for case, given, seen in zip(cases, records(inputs), records(observed))
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class ScanReport:
     """Outcome of a scan or suite; passed iff no violations were recorded."""
@@ -211,16 +231,12 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     if best_row is None:
         raise DomainError("lattice is empty for the given step")
     best_point = tuple(float(m / total) for m in best_row)
-    violations = []
-    if best_val < regular_value - FINDING_SLACK:
-        violations.append(
-            Violation(
-                case=0,
-                input={"angles": list(best_point)},
-                relation="lattice objective >= regular objective",
-                observed={"lattice": best_val, "regular": regular_value},
-            )
-        )
+    violations = _violations(
+        "lattice objective >= regular objective",
+        [0] if best_val < regular_value - FINDING_SLACK else [],
+        {"angles": [best_point]},
+        {"lattice": best_val, "regular": regular_value},
+    )
     return ScanReport(
         name=f"minimax-grid-n{n}",
         size=count,
@@ -333,26 +349,26 @@ def _majorization_violations(rows: np.ndarray, cases) -> tuple[list[Violation], 
     """
     n = rows.shape[1]
     regular = _regular_spectrum(n)
+    regular_prefixes = np.cumsum(regular)
+    cases = np.asarray(cases)
     violations = []
     min_margin = np.inf
     for part, spectra in _spectra(rows):
         margins = _prefix_margins(spectra, regular)
         min_margin = min(min_margin, float(margins.min()))
         bad = np.nonzero(np.any(margins < -MAJORIZATION_SLACK, axis=1))[0]
-        for i in bad:
-            k = int(np.argmin(margins[i]))
-            violations.append(
-                Violation(
-                    case=int(cases[part.start + i]),
-                    input={"angles": [float(a) for a in rows[part.start + i]]},
-                    relation="prefix sums dominate the regular spectrum",
-                    observed={
-                        "prefix_index": k + 1,
-                        "sample_prefix": float(np.cumsum(spectra[i])[k]),
-                        "regular_prefix": float(np.cumsum(regular)[k]),
-                    },
-                )
-            )
+        k = np.argmin(margins[bad], axis=1)
+        prefixes = np.cumsum(spectra[bad], axis=1)
+        violations += _violations(
+            "prefix sums dominate the regular spectrum",
+            cases[part][bad],
+            {"angles": rows[part][bad]},
+            {
+                "prefix_index": k + 1,
+                "sample_prefix": prefixes[np.arange(bad.size), k],
+                "regular_prefix": regular_prefixes[k],
+            },
+        )
     return violations, min_margin
 
 
@@ -403,18 +419,15 @@ def _suite_row_monotone(samples: int, seed: int):
     cases = list(range(3, 13))
     for case, n in enumerate(cases):
         table = angle_tables(np.full((1, n), 1.0 / n))[0]
-        for j in range(n):
-            ents = [table[j, (j + d) % n] for d in range(1, n // 2 + 1)]
-            for d in range(len(ents) - 1):
-                if not ents[d] > ents[d + 1]:
-                    violations.append(
-                        Violation(
-                            case=case,
-                            input={"n": n, "row": j + 1, "distance": d + 1},
-                            relation="row entries decrease with side distance",
-                            observed={"nearer": float(ents[d]), "farther": float(ents[d + 1])},
-                        )
-                    )
+        j = np.arange(n)[:, None]
+        ents = table[j, (j + np.arange(1, n // 2 + 1)) % n]  # row j, side distance 1..n//2
+        row, d = np.nonzero(~(ents[:, :-1] > ents[:, 1:]))
+        violations += _violations(
+            "row entries decrease with side distance",
+            np.full(row.size, case),
+            {"n": n, "row": row + 1, "distance": d + 1},
+            {"nearer": ents[row, d], "farther": ents[row, d + 1]},
+        )
     return len(cases), violations, {"n_range": [3, 12]}
 
 
@@ -429,15 +442,12 @@ def _suite_point_monotone(samples: int, seed: int):
     x1 = invert_fractions(b1, 0.0, alphas)
     x2 = invert_fractions(b2, 0.0, alphas)
     bad = np.nonzero(x1 <= x2)[0]
-    violations = [
-        Violation(
-            case=int(i),
-            input={"alpha": float(alphas[i]), "beta_1": float(b1[i]), "beta_2": float(b2[i])},
-            relation="x(beta_1) > x(beta_2) on the complementary arc",
-            observed={"x_1": float(x1[i]), "x_2": float(x2[i])},
-        )
-        for i in bad
-    ]
+    violations = _violations(
+        "x(beta_1) > x(beta_2) on the complementary arc",
+        bad,
+        {"alpha": alphas[bad], "beta_1": b1[bad], "beta_2": b2[bad]},
+        {"x_1": x1[bad], "x_2": x2[bad]},
+    )
     return samples, violations, {}
 
 
@@ -450,20 +460,15 @@ def _entry_pair_violations(rows, cases, pairs, failed, relation, names):
     """
     tables = angle_tables(rows)
     a, b = names
-    hits = []
-    for m, (j, k) in enumerate(pairs):
-        bad = failed(rows[:, j], rows[:, k], tables[:, j, k], tables[:, k, j])
-        hits.extend((int(i), m, j, k) for i in np.flatnonzero(bad))
-    hits.sort()
-    return [
-        Violation(
-            case=int(cases[i]),
-            input={"angles": [float(v) for v in rows[i]], a: j + 1, b: k + 1},
-            relation=relation,
-            observed={f"ent_{a}{b}": float(tables[i, j, k]), f"ent_{b}{a}": float(tables[i, k, j])},
-        )
-        for i, _, j, k in hits
-    ]
+    bad = np.stack([failed(rows[:, j], rows[:, k], tables[:, j, k], tables[:, k, j]) for j, k in pairs], axis=1)
+    i, m = np.nonzero(bad)  # row by row, then pair by pair
+    j, k = np.asarray(pairs)[m].T
+    return _violations(
+        relation,
+        np.asarray(cases)[i],
+        {"angles": rows[i], a: j + 1, b: k + 1},
+        {f"ent_{a}{b}": tables[i, j, k], f"ent_{b}{a}": tables[i, k, j]},
+    )
 
 
 def _suite_side_monotone(samples: int, seed: int, adjacent: bool):
@@ -487,20 +492,16 @@ def _suite_side_monotone(samples: int, seed: int, adjacent: bool):
 
 def _suite_regularity_break(samples: int, seed: int):
     """Growing a regular seed stays regular only for the triangle at s=1."""
-    violations = []
     cases = [(3, 1, True), (3, 2, False)] + [(n, 1, False) for n in range(4, 13)]
-    for case, (n, s, expect_regular) in enumerate(cases):
-        body = grow_body(IdealPolygon.regular(n), s)
-        got = is_regular(body.boundary_angles)
-        if got != expect_regular:
-            violations.append(
-                Violation(
-                    case=case,
-                    input={"n": n, "generations": s},
-                    relation="body regularity matches the regular-seed law",
-                    observed={"expected_regular": expect_regular, "observed_regular": got},
-                )
-            )
+    got = np.array([is_regular(grow_body(IdealPolygon.regular(n), s).boundary_angles) for n, s, _ in cases])
+    n, s, expected = (np.array(column) for column in zip(*cases))
+    bad = np.nonzero(got != expected)[0]
+    violations = _violations(
+        "body regularity matches the regular-seed law",
+        bad,
+        {"n": n[bad], "generations": s[bad]},
+        {"expected_regular": expected[bad], "observed_regular": got[bad]},
+    )
     return len(cases), violations, {"cases": [[n, s] for n, s, _ in cases]}
 
 
@@ -512,20 +513,19 @@ def _suite_nonregular_stays(samples: int, seed: int):
     """
     violations = []
     for _, cases, rows in _mixed_rows(samples, seed, 3, floor=0.05):
-        for i, row in zip(cases, rows):
+        hits = []  # (row, generations) of every regular body
+        for i, row in enumerate(rows):
             if is_regular(row):
                 continue  # a random draw never is; guard anyway
             poly = IdealPolygon(tuple(row))
-            for s in (1, 2):
-                if is_regular(grow_body(poly, s).boundary_angles):
-                    violations.append(
-                        Violation(
-                            case=int(i),
-                            input={"angles": [float(a) for a in row], "generations": s},
-                            relation="non-regular seed grows a non-regular body",
-                            observed={"observed_regular": True},
-                        )
-                    )
+            hits += [(i, s) for s in (1, 2) if is_regular(grow_body(poly, s).boundary_angles)]
+        i, s = np.array(hits, dtype=int).reshape(-1, 2).T
+        violations += _violations(
+            "non-regular seed grows a non-regular body",
+            cases[i],
+            {"angles": rows[i], "generations": s},
+            {"observed_regular": True},
+        )
     return samples, violations, {"n_range": [3, 8]}
 
 
@@ -559,36 +559,26 @@ def _suite_area_bound(samples: int, seed: int):
     Cases 0..5 are the deterministic tightness checks at the regular
     polygon for n = 3..8; random samples follow.
     """
-    violations = []
-    max_regular_slack = 0.0
-    for case, n in enumerate(range(3, 9)):
-        bound = area_upper_bound(n)
-        reg_slack = abs(bound - euclidean_area([1.0 / n] * n))
-        max_regular_slack = max(max_regular_slack, reg_slack)
-        if reg_slack > EQUALITY_TOL:
-            violations.append(
-                Violation(
-                    case=case,
-                    input={"n": n, "angles": "regular"},
-                    relation="bound is attained at the regular polygon",
-                    observed={"slack": reg_slack},
-                )
-            )
-    offset = 6
+    slack = np.array([abs(area_upper_bound(n) - euclidean_area([1.0 / n] * n)) for n in range(3, 9)])
+    bad = np.nonzero(slack > EQUALITY_TOL)[0]
+    violations = _violations(
+        "bound is attained at the regular polygon",
+        bad,
+        {"n": bad + 3, "angles": "regular"},
+        {"slack": slack[bad]},
+    )
+    offset = slack.size
     for n, cases, rows in _mixed_rows(samples, seed, 3):
         bound = area_upper_bound(n)
         areas = np.sum(side_region_area(rows), axis=1)
         bad = np.nonzero(areas > bound + FINDING_SLACK)[0]
-        for i in bad:
-            violations.append(
-                Violation(
-                    case=int(offset + cases[i]),
-                    input={"angles": [float(a) for a in rows[i]]},
-                    relation="euclidean area <= upper bound",
-                    observed={"area": float(areas[i]), "bound": bound},
-                )
-            )
-    return samples + offset, violations, {"max_regular_slack": max_regular_slack}
+        violations += _violations(
+            "euclidean area <= upper bound",
+            offset + cases[bad],
+            {"angles": rows[bad]},
+            {"area": areas[bad], "bound": bound},
+        )
+    return samples + offset, violations, {"max_regular_slack": float(slack.max())}
 
 
 def _suite_area_dominance(samples: int, seed: int):
@@ -607,15 +597,12 @@ def _suite_area_dominance(samples: int, seed: int):
         areas = np.sum(side_region_area(spectra), axis=1)
         min_margin = min(min_margin, float((regular_area - areas).min()))
         bad = np.nonzero(areas > regular_area + FINDING_SLACK)[0]
-        for i in bad:
-            violations.append(
-                Violation(
-                    case=int(cases[i]),
-                    input={"angles": [float(a) for a in rows[i]]},
-                    relation="body area <= regular body area (s=1)",
-                    observed={"area": float(areas[i]), "regular_area": regular_area},
-                )
-            )
+        violations += _violations(
+            "body area <= regular body area (s=1)",
+            cases[bad],
+            {"angles": rows[bad]},
+            {"area": areas[bad], "regular_area": regular_area},
+        )
     return samples, violations, {"n_range": [3, 8], "min_area_margin": min_margin}
 
 

@@ -222,19 +222,19 @@ def _image_widths(widths: np.ndarray, free: int) -> np.ndarray:
     rotations = _rotations(n)[0]
     # cells run along the last axis, so every step is one contiguous pass
     arcs = np.pi * widths.T
-    rotated = arcs[rotations]
-    sums = np.zeros((n + 1, 2 * n, widths.shape[0]))  # sums[m, t]: m widths of rotation t
-    for m in range(n):
-        np.add(sums[m], rotated[m], out=sums[m + 1])
-    from_end = sums[1:n, :free]
-    from_start = sums[n - 1 : 0 : -1, n : n + free]
+    sums = arcs[rotations[: n - 1]]  # sums[m, t]: the first m + 1 widths of rotation t
+    # a loop over contiguous slices; np.cumsum along this axis is several times slower
+    for m in range(1, n - 1):
+        sums[m] += sums[m - 1]
+    from_end = sums[:, :free]
+    from_start = sums[::-1, n : n + free]
     angle = np.minimum(from_end, from_start)
     s = np.sin(angle)
     # cos(pi delta) changes sign with the end delta is measured from
     cos = np.copysign(np.cos(angle), from_start - from_end)
     p = s * (2.0 / np.tan(arcs[:free])) - cos
     den = np.concatenate([s[:-1] * s[1:] + p[:-1] * p[1:], p[-1:]])
-    sin_g = np.sin(np.minimum(arcs, sums[n - 1, n:]))
+    sin_g = np.sin(np.minimum(arcs, sums[n - 2, n:]))
     return np.arctan2(sin_g[rotations[1:, :free]], den) / np.pi
 
 

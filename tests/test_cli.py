@@ -94,6 +94,20 @@ def test_cmd_invert_rejects_malformed_side(capsys):
     assert main(["invert", "--side", "zero", "--beta", "0.5"]) == 1
 
 
+def test_cmd_invert_accepts_a_negative_side_start(capsys):
+    # an option value may start with '-'; -0.1 is the vertex 0.9
+    assert main(["invert", "--side", "-0.1,0.25", "--beta", "0.5"]) == 0
+    negative = capsys.readouterr().out
+    assert main(["invert", "--side", "0.9,0.25", "--beta", "0.5"]) == 0
+    assert negative == capsys.readouterr().out
+
+
+def test_cmd_invert_accepts_a_negative_beta(capsys):
+    # -1e-3 is the boundary point 0.999
+    assert main(["invert", "--side", "0,0.25", "--beta", "-1e-3"]) == 0
+    assert capsys.readouterr().out == "0.000993756067\n"
+
+
 # --- grow ------------------------------------------------------------------
 
 
@@ -258,6 +272,29 @@ def test_cmd_extremal_non_positive_grid_rejected(capsys, step):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: grid step must be positive\n"
+
+
+def test_cmd_extremal_negative_grid_step_as_its_own_argument_rejected(capsys):
+    assert main(["extremal", "--n", "4", "--grid", "-1/100"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid step must be positive\n"
+
+
+def test_cmd_extremal_negative_tolerance_rejected(capsys):
+    argv = ["extremal", "--n", "3", "--grid", "1/100", "--refine", "--starts", "1", "--tol", "-1e-10"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: tolerance must be finite and at least 1e-12\n"
+
+
+@pytest.mark.parametrize("tail", [["--grid"], ["--grid", "--refine"], ["--grid", "-x"]])
+def test_cmd_extremal_missing_option_value_exits_one(capsys, tail):
+    assert main(["extremal", "--n", "4", *tail]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --grid: expected one argument" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

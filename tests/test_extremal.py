@@ -22,8 +22,10 @@ from hypergon.extremal import (
     sample_simplex,
     suite_names,
 )
-from hypergon.measures import MAJORIZATION_SLACK, decreasing_rearrangement, majorizes
-from hypergon.polygon import IdealPolygon, _block_rows, angle_tables, inverted_angle_matrix
+from hypergon.disk_geometry import invert_fractions
+from hypergon.measures import MAJORIZATION_SLACK, area_upper_bound, decreasing_rearrangement, majorizes
+from hypergon.measures import euclidean_area, side_region_area
+from hypergon.polygon import IdealPolygon, _block_rows, angle_tables, inverted_angle_matrix, is_regular
 
 M_STAR = 0.25 - math.atan(0.5) / math.pi  # objective at the regular 4-gon
 
@@ -520,3 +522,217 @@ def test_conj52_numbers_each_violation_by_its_draw():
     assert len(report.violations) > 1
     for v in report.violations:
         assert v.input["angles"] == drawn[v.case]
+
+
+# --- planted records -----------------------------------------------------------
+#
+# No sample has ever broken these suites, so each test below plants failures
+# through one module-level name and checks every record: case, input,
+# relation, observed, their Python types, and their order.
+
+
+def _types(value):
+    """The Python types of a record, element by element."""
+    if isinstance(value, dict):
+        return {key: _types(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_types(v) for v in value]
+    return type(value)
+
+
+def _assert_records(report, expected):
+    got = [v.as_dict() for v in report.violations]
+    assert got == expected
+    assert _types(got) == _types(expected)
+
+
+def _record(case, inputs, relation, observed):
+    return {"case": case, "input": inputs, "relation": relation, "observed": observed}
+
+
+def _drawn(samples, seed, floor=ALPHA_MIN):
+    """``(n, cases, rows)`` per side count, drawn as the mixed-n suites draw them."""
+    rng = np.random.default_rng(seed)
+    ns = rng.integers(3, 9, size=samples)
+    out = []
+    for n in range(3, 9):
+        cases = np.nonzero(ns == n)[0]
+        if cases.size:
+            out.append((n, cases, sample_simplex(n, cases.size, rng, floor)))
+    return out
+
+
+def test_lemma31_records_planted_row_breaks(monkeypatch):
+    # (n, row, distance, how): a tie, an entry dropped below the next one,
+    # an entry raised above the previous one, and a tie in the last case
+    breaks = [(5, 1, 1, "tie"), (8, 4, 2, "drop"), (8, 8, 3, "raise"), (12, 1, 1, "tie")]
+    tables = {}
+
+    def planted(rows):
+        t = angle_tables(rows).copy()
+        n = rows.shape[1]
+        for m, j, d, how in breaks:
+            if m == n:
+                near, far = (j - 1, (j - 1 + d) % n), (j - 1, (j + d) % n)
+                if how == "tie":
+                    t[0][near] = t[0][far]
+                elif how == "drop":
+                    t[0][near] = t[0][far] - 1e-3
+                else:
+                    t[0][far] = t[0][near] + 1e-3
+        tables[n] = t[0]
+        return t
+
+    monkeypatch.setattr(extremal, "angle_tables", planted)
+    report = property_suite("lemma31", samples=5, seed=0)
+    expected = []
+    for n, j, d, _ in breaks:
+        t = tables[n]
+        observed = {"nearer": float(t[j - 1, (j - 1 + d) % n]), "farther": float(t[j - 1, (j + d) % n])}
+        relation = "row entries decrease with side distance"
+        expected.append(_record(n - 3, {"n": n, "row": j, "distance": d}, relation, observed))
+    _assert_records(report, expected)
+
+
+def test_lemma32i_records_planted_image_orders(monkeypatch):
+    # the second image of case 4 ties the first; that of case 11 passes it
+    calls = []
+
+    def planted(beta, a, alpha):
+        x = invert_fractions(beta, a, alpha).copy()
+        if calls:
+            x[4] = calls[0][1][4]
+            x[11] = calls[0][1][11] + 0.25
+        calls.append((beta, x, alpha))
+        return x
+
+    monkeypatch.setattr(extremal, "invert_fractions", planted)
+    report = property_suite("lemma32i", samples=20, seed=3)
+    (b1, x1, alphas), (b2, x2, _) = calls
+    relation = "x(beta_1) > x(beta_2) on the complementary arc"
+    expected = [
+        _record(
+            i,
+            {"alpha": float(alphas[i]), "beta_1": float(b1[i]), "beta_2": float(b2[i])},
+            relation,
+            {"x_1": float(x1[i]), "x_2": float(x2[i])},
+        )
+        for i in (4, 11)
+    ]
+    _assert_records(report, expected)
+
+
+def test_lemma33_records_planted_regularity(monkeypatch):
+    # the regular triangle's body (case 0) reads non-regular, and the
+    # regular hexagon's (case 4) reads regular
+    calls = []
+
+    def planted(angles):
+        got = is_regular(angles)
+        flip = len(calls) in (0, 4)
+        calls.append(angles)
+        return (not got) if flip else got
+
+    monkeypatch.setattr(extremal, "is_regular", planted)
+    report = property_suite("lemma33", samples=5, seed=0)
+    relation = "body regularity matches the regular-seed law"
+    expected = [
+        _record(0, {"n": 3, "generations": 1}, relation, {"expected_regular": True, "observed_regular": False}),
+        _record(4, {"n": 6, "generations": 1}, relation, {"expected_regular": False, "observed_regular": True}),
+    ]
+    _assert_records(report, expected)
+
+
+def test_lemma34_records_planted_regular_bodies(monkeypatch):
+    # each seed asks for its own regularity, then for its bodies' at s = 1
+    # and s = 2.  Plant regular bodies for seeds 0 (s = 1), 1 (s = 2) and
+    # 2 (both); seed 3 reads regular itself and is skipped, so seed 4's
+    # s = 2 body is call 12; the last call is the last seed's s = 2 body.
+    samples, seed = 30, 3
+    drawn = _drawn(samples, seed, floor=0.05)
+    assert len(drawn[0][1]) >= 5 and drawn[-1][0] > drawn[0][0]
+    total = 3 * samples - 2
+    planted_calls = {1, 5, 7, 8, 9, 12, total - 1}
+    calls = []
+
+    def planted(angles):
+        regular = len(calls) in planted_calls or is_regular(angles)
+        calls.append(angles)
+        return regular
+
+    monkeypatch.setattr(extremal, "is_regular", planted)
+    report = property_suite("lemma34", samples=samples, seed=seed)
+    assert len(calls) == total
+    relation = "non-regular seed grows a non-regular body"
+    (_, cases, rows), (_, last_cases, last_rows) = drawn[0], drawn[-1]
+    hits = [(cases, rows, 0, 1), (cases, rows, 1, 2), (cases, rows, 2, 1), (cases, rows, 2, 2)]
+    hits += [(cases, rows, 4, 2), (last_cases, last_rows, -1, 2)]
+    expected = [
+        _record(
+            int(c[i]),
+            {"angles": [float(a) for a in r[i]], "generations": s},
+            relation,
+            {"observed_regular": True},
+        )
+        for c, r, i, s in hits
+    ]
+    _assert_records(report, expected)
+
+
+def test_thm52_records_planted_bounds(monkeypatch):
+    # the first six calls are the regular cases (n = 3..8): the 5-gon's
+    # bound moves by 1e-9; then each drawn side count asks once, and the
+    # 4-gons and 6-gons get bounds some of their areas exceed
+    samples, seed = 40, 3
+    low = {4: 0.7, 6: 1.0}
+    calls = []
+
+    def planted(n):
+        calls.append(n)
+        bound = area_upper_bound(n)
+        if len(calls) <= 6:
+            return bound + 1e-9 if n == 5 else bound
+        return low.get(n, bound)
+
+    monkeypatch.setattr(extremal, "area_upper_bound", planted)
+    report = property_suite("thm52", samples=samples, seed=seed)
+    slack = abs(area_upper_bound(5) + 1e-9 - euclidean_area([0.2] * 5))
+    expected = [_record(2, {"n": 5, "angles": "regular"}, "bound is attained at the regular polygon", {"slack": slack})]
+    for n, cases, rows in _drawn(samples, seed):
+        if n in low:
+            areas = np.sum(side_region_area(rows), axis=1)
+            bad = np.nonzero(areas > low[n] + extremal.FINDING_SLACK)[0]
+            assert 0 < bad.size < cases.size
+            expected += [
+                _record(
+                    6 + int(cases[i]),
+                    {"angles": [float(a) for a in rows[i]]},
+                    "euclidean area <= upper bound",
+                    {"area": float(areas[i]), "bound": low[n]},
+                )
+                for i in bad
+            ]
+    _assert_records(report, expected)
+    assert report.detail == {"max_regular_slack": slack}
+
+
+def test_grid_scan_records_a_lattice_point_below_the_regular_value(monkeypatch):
+    # raise the regular value so that the lattice minimum beats it
+    regular = minimax_objective(IdealPolygon.regular(3)) + 0.01
+
+    def planted(poly):
+        return regular
+
+    monkeypatch.setattr(extremal, "minimax_objective", planted)
+    report = grid_scan(3, 1.0 / 100.0)
+    expected = [
+        _record(
+            0,
+            {"angles": [0.33, 0.33, 0.34]},
+            "lattice objective >= regular objective",
+            {"lattice": report.best_value, "regular": regular},
+        )
+    ]
+    assert report.best_point == (0.33, 0.33, 0.34)
+    assert type(report.best_value) is float
+    _assert_records(report, expected)
