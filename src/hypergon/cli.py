@@ -33,6 +33,7 @@ from .disk_geometry import GeodesicSide, check_count, invert_on_circle, unit_poi
 from .errors import ConvergenceError, DomainError, HypergonError, PrecisionError
 from .extremal import (
     FINDING_SLACK,
+    SEED_MESSAGE,
     grid_scan,
     property_suite,
     refine_minimum,
@@ -268,6 +269,7 @@ def _parse_step(text: str) -> float:
 
 
 def _cmd_extremal(args) -> int:
+    check_count(args.seed, SEED_MESSAGE, lo=0)
     report = grid_scan(args.n, args.grid, dump_path=args.dump)
     out = {
         "n": args.n,

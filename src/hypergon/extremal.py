@@ -28,15 +28,94 @@ from .measures import euclidean_area, side_region_area
 from .polygon import IdealPolygon, _image_blocks, angle_tables, grow_body, is_regular
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use.
+@dataclass(frozen=True)
+class Descent:
+    """End of one simplex descent: best vertex, its value, objective calls, convergence."""
 
-    Importing scipy costs more than half a second, which only refinement
-    should pay.
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+
+
+class _CapReached(Exception):
+    """The descent has used its last allowed objective call."""
+
+
+def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int) -> Descent:
+    """Nelder–Mead descent of ``fun`` from ``x0`` (Nelder & Mead, 1965).
+
+    A step-for-step port of scipy 1.17's ``_minimize_neldermead`` without
+    bounds or adaptive coefficients: the same vertices, operations and
+    order, so the same points, values and call counts.  A vertex moves by
+    5 % of its entry (0.00025 from a zero entry) and the coefficients are
+    reflection 1, expansion 2, contraction and shrink 1/2.  The descent
+    stops when vertices and values lie within ``xatol`` and ``fatol`` of
+    the best, or, unconverged, at ``maxiter`` iterations or ``maxfev``
+    calls, even partway through a shrink.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
 
-    return scipy_minimize(*args, **kwargs)
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _CapReached
+        nfev += 1
+        return fun(np.copy(x))
+
+    def ranked():  # vertices and values, best first
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _CapReached:
+        pass
+    sim, fsim = ranked()
+    sim, fsim = ranked()  # scipy ranks twice; from 17 vertices on, numpy may reorder ranked NaNs
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _CapReached:
+            pass
+        sim, fsim = ranked()
+    success = nfev < maxfev and iterations < maxiter
+    return Descent(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, success=success)
 
 
 # Lattice steps coarser than 1/100 cannot isolate the regular point.
@@ -47,6 +126,8 @@ MAX_GRID_STEP = 1.0 / 100.0
 FINDING_SLACK = 1e-12
 
 EQUALITY_TOL = 1e-12
+
+SEED_MESSAGE = "seed must be a non-negative integer"
 
 
 # A point of the angle simplex is a polygon at rotation 0.
@@ -292,15 +373,7 @@ def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygo
     converged = False
     for _ in range(_REFINE_RESTARTS):
         res = minimize(
-            objective,
-            best_y,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-9,
-                "fatol": tol,
-                "maxiter": _REFINE_MAX_ITER,
-                "maxfev": _REFINE_MAX_ITER,
-            },
+            objective, best_y, xatol=1e-9, fatol=tol, maxiter=_REFINE_MAX_ITER, maxfev=_REFINE_MAX_ITER
         )
         improved = best_val - res.fun
         if res.fun < best_val:
@@ -381,6 +454,7 @@ def majorization_scan(n: int, samples: int, seed: int = 0) -> ScanReport:
     violations is evidence for the conjecture, never a proof.
     """
     samples = check_count(samples, "need at least one sample", lo=1)
+    seed = check_count(seed, SEED_MESSAGE, lo=0)
     t0 = time.perf_counter()
     rows = sample_simplex(n, samples, np.random.default_rng(seed))
     violations, min_margin = _majorization_violations(rows, range(samples))
@@ -647,6 +721,7 @@ def property_suite(name: str, samples: int = 10_000, seed: int = 0) -> ScanRepor
     if name not in _SUITES:
         raise UnknownSuiteError(f"unknown suite '{name}'; known: {', '.join(suite_names())}")
     samples = check_count(samples, "need at least one sample", lo=1)
+    seed = check_count(seed, SEED_MESSAGE, lo=0)
     t0 = time.perf_counter()
     size, violations, detail = _SUITES[name](samples, seed)
     return ScanReport(

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -311,6 +313,33 @@ def test_cmd_extremal_refine_reports_basins(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["refine"]["starts"] == 3
     assert out["refine"]["best_refined_value"] <= out["best_value"] + 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "--n", "3", "--grid", "1/100", "--refine", "--starts", "1", "--seed", "-1"],
+        ["extremal", "--n", "3", "--grid", "1/100", "--seed", "-1"],
+        *(["check", "--suite", suite, "--samples", "5", "--seed", "-1"] for suite in ("lemma32ii", "lemma41", "conj52", "lemma34", "lemma31")),
+    ],
+)
+def test_negative_seed_exits_one(capsys, argv):
+    # numpy used to reject the seed with a traceback, after the lattice scan
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer\n"
+
+
+def test_cmd_extremal_refine_runs_without_scipy(capsys):
+    argv = ["extremal", "--n", "3", "--grid", "1/100", "--refine", "--starts", "3", "--seed", "0"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    # None in sys.modules makes any import of scipy or mpmath fail
+    code = "import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None; from hypergon.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
 
 
 def test_cmd_extremal_refines_the_lattice_minimum_then_each_start(monkeypatch, capsys):

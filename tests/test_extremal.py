@@ -233,55 +233,128 @@ def test_refine_is_deterministic():
     assert v1 == v2
 
 
-def test_refine_matches_scipy_on_the_plain_objective_bit_for_bit(monkeypatch):
-    # the start's first simplex leaves the domain, so the penalty runs too
+def _scipy_refine(start, seen):
+    """refine_minimum written out on scipy's Nelder-Mead and ``angle_tables``.
+
+    Returns the refined angles, their value and each descent's ``nfev``;
+    every evaluation is appended to ``seen`` as ``(y, value, penalized)``.
+    """
     from scipy.optimize import minimize
 
-    start = (0.3, 0.3, 0.39, 0.01)
     lo, hi = ALPHA_MIN, 0.5 - ALPHA_MIN
-    seen = []
-    penalized = []
 
     def objective(y):
         a = np.append(y, 1.0 - y.sum())
         excess = np.sum(np.maximum(lo - a, 0.0) + np.maximum(a - hi, 0.0))
         if excess > 0.0:
-            penalized.append(y.copy())
             a = np.clip(a, lo, hi)
             a = a / a.sum()
             value = float(np.nanmax(angle_tables(a[None, :]))) + 10.0 * float(excess)
         else:
             value = float(np.nanmax(angle_tables(a[None, :])))
-        seen.append((y.copy(), value))
+        seen.append((y.copy(), value, excess > 0.0))
         return value
 
     options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": 4000, "maxfev": 4000}
-    best_y = np.asarray(start[:3])
+    best_y = np.asarray(start[:-1])
     best_val = objective(best_y)
+    nfevs = []
     for _ in range(4):
         res = minimize(objective, best_y, method="Nelder-Mead", options=options)
+        nfevs.append(res.nfev)
         improved = best_val - res.fun
         if res.fun < best_val:
             best_val, best_y = float(res.fun), res.x
         if res.success and improved < 1e-10:
             break
-    assert penalized
+    assert res.success
     angles = np.clip(np.append(best_y, 1.0 - best_y.sum()), lo, hi)
-    angles = angles / angles.sum()
-    want_value = float(np.nanmax(angle_tables(angles[None, :])))
+    angles = np.clip(angles / angles.sum(), lo, hi)
+    return tuple(float(a) for a in angles), float(np.nanmax(angle_tables(angles[None, :]))), nfevs
 
-    objectives = []
+
+def test_refine_matches_scipy_on_the_plain_objective_bit_for_bit(monkeypatch):
+    # the first start's simplex leaves the domain, so the penalty runs too;
+    # mixed starts follow, one draw from each of two seeds per side count
+    starts = [(0.3, 0.3, 0.39, 0.01)]
+    starts += [tuple(sample_simplex(n, 1, np.random.default_rng(seed))[0]) for n in range(3, 7) for seed in (1, 2)]
+    objectives, nfevs = [], []
+    minimize = extremal.minimize
 
     def spy(fun, x0, **kwargs):
         objectives.append(fun)
-        return minimize(fun, x0, **kwargs)
+        res = minimize(fun, x0, **kwargs)
+        nfevs.append(res.nfev)
+        return res
 
     monkeypatch.setattr(extremal, "minimize", spy)
-    point, value = refine_minimum(SimplexPoint(start), 1e-10)
-    assert point.angles == tuple(float(a) for a in angles)
-    assert value == want_value
-    # Nelder-Mead only ranks values, so compare every evaluation as well
-    assert all(objectives[0](y) == v for y, v in seen)
+    penalized = []
+    for start in starts:
+        seen = []
+        want_angles, want_value, want_nfevs = _scipy_refine(start, seen)
+        del objectives[:], nfevs[:]
+        point, value = refine_minimum(SimplexPoint(start), 1e-10)
+        assert point.angles == want_angles, start
+        assert value == want_value, start
+        assert nfevs == want_nfevs, start
+        # Nelder-Mead only ranks values, so compare every evaluation as well
+        assert all(objectives[0](y) == v for y, v, _ in seen), start
+        penalized.append(any(p for _, _, p in seen))
+    assert penalized[0]
+
+
+def _rosenbrock(x):
+    # with (1 - x_i)^2 on every coordinate, so that one dimension is not flat
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2) + np.sum((1.0 - x) ** 2))
+
+
+def _kinked(x):
+    return float(np.max(np.abs(x - 0.3)))
+
+
+def _stairs(x):
+    # flat steps make contractions fail, so the simplex shrinks from about
+    # the 20th call on (never on the two objectives above)
+    return float(np.floor(8.0 * np.sum((x - 0.3) ** 2)))
+
+
+@pytest.mark.parametrize("objective", [_rosenbrock, _kinked, _stairs])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_minimize_matches_scipy_nelder_mead_at_every_cap(objective, dim):
+    # a cap can fall between the vertices of the first simplex or partway
+    # through a shrink; both engines must stop at the same call
+    from scipy.optimize import minimize
+
+    starts = [np.array([0.0, -1.2, 1.0, 0.5, 2.0][:dim]), np.array([1.7, 0.0, -0.4, 0.0, 0.9][:dim])]
+    for x0 in starts:
+        for maxfev in [*range(1, 41), 100, 4000]:
+            for maxiter in (maxfev, 4000):
+                options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": maxiter, "maxfev": maxfev}
+                want = minimize(objective, x0, method="Nelder-Mead", options=options)
+                got = extremal.minimize(objective, x0, **options)
+                case = (list(x0), maxfev, maxiter)
+                assert got.x.tobytes() == want.x.tobytes(), case
+                assert got.fun == want.fun, case
+                assert got.nfev == want.nfev, case
+                assert got.success == want.success, case
+
+
+def test_minimize_matches_scipy_nelder_mead_on_nan_values():
+    # with 17 vertices numpy's argsort can reorder NaN values that are
+    # already ranked, so the second ranking of the first simplex matters
+    from scipy.optimize import minimize
+
+    def objective(x):
+        return float(np.sum((x - 0.3) ** 2)) if np.sum(x) <= 16.01 else math.nan
+
+    x0 = np.ones(16)  # every vertex but the first is NaN
+    for maxfev in (20, 100, 400, 4000):
+        options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": 4000, "maxfev": maxfev}
+        want = minimize(objective, x0, method="Nelder-Mead", options=options)
+        got = extremal.minimize(objective, x0, **options)
+        assert got.x.tobytes() == want.x.tobytes(), maxfev
+        assert np.array_equal(got.fun, want.fun, equal_nan=True), maxfev
+        assert (got.nfev, got.success) == (want.nfev, want.success), maxfev
 
 
 def test_refine_finds_second_basin():
@@ -352,6 +425,15 @@ def test_suite_names_cover_the_registry():
         "conj51",
         "conj52",
     }
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_seeded_scans_reject_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        majorization_scan(4, 10, seed=seed)
+    for name in ("lemma31", "lemma32ii"):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            property_suite(name, 10, seed)
 
 
 def test_property_suite_rejects_unknown():
