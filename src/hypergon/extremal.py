@@ -42,7 +42,7 @@ class _CapReached(Exception):
     """The descent has used its last allowed objective call."""
 
 
-def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int) -> Descent:
+def minimize(fun, x0, *, fatol: float, maxfev: int) -> Descent:
     """Nelder–Mead descent of ``fun`` from ``x0`` (Nelder & Mead, 1965).
 
     A step-for-step port of scipy 1.17's ``_minimize_neldermead`` without
@@ -50,9 +50,11 @@ def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int) 
     order, so the same points, values and call counts.  A vertex moves by
     5 % of its entry (0.00025 from a zero entry) and the coefficients are
     reflection 1, expansion 2, contraction and shrink 1/2.  The descent
-    stops when vertices and values lie within ``xatol`` and ``fatol`` of
-    the best, or, unconverged, at ``maxiter`` iterations or ``maxfev``
-    calls, even partway through a shrink.
+    stops when vertices lie within ``_REFINE_XATOL`` and values within
+    ``fatol`` of the best, or, unconverged, after ``maxfev`` calls, even
+    partway through a shrink.  scipy's iteration cap is left out: every
+    iteration makes at least one call, so a cap of ``maxfev`` or more
+    iterations never ends a descent.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     x0 = np.asarray(x0, dtype=float).flatten()
@@ -81,10 +83,12 @@ def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int) 
         pass
     sim, fsim = ranked()
     sim, fsim = ranked()  # scipy ranks twice; from 17 vertices on, numpy may reorder ranked NaNs
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
+    while nfev < maxfev:
         try:
-            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            if (
+                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _REFINE_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            ):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = (1 + rho) * xbar - rho * sim[-1]
@@ -110,12 +114,10 @@ def minimize(fun, x0, *, xatol: float, fatol: float, maxiter: int, maxfev: int) 
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + sigma * (sim[j] - sim[0])
                         fsim[j] = f(sim[j])
-            iterations += 1
         except _CapReached:
             pass
         sim, fsim = ranked()
-    success = nfev < maxfev and iterations < maxiter
-    return Descent(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, success=success)
+    return Descent(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, success=nfev < maxfev)
 
 
 # Lattice steps coarser than 1/100 cannot isolate the regular point.
@@ -337,6 +339,7 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
 
 
 _REFINE_MAX_ITER = 4000
+_REFINE_XATOL = 1e-9
 _REFINE_RESTARTS = 4
 
 
@@ -372,9 +375,7 @@ def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygo
     best_val = objective(y)
     converged = False
     for _ in range(_REFINE_RESTARTS):
-        res = minimize(
-            objective, best_y, xatol=1e-9, fatol=tol, maxiter=_REFINE_MAX_ITER, maxfev=_REFINE_MAX_ITER
-        )
+        res = minimize(objective, best_y, fatol=tol, maxfev=_REFINE_MAX_ITER)
         improved = best_val - res.fun
         if res.fun < best_val:
             best_val = float(res.fun)

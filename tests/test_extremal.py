@@ -328,10 +328,10 @@ def test_minimize_matches_scipy_nelder_mead_at_every_cap(objective, dim):
     starts = [np.array([0.0, -1.2, 1.0, 0.5, 2.0][:dim]), np.array([1.7, 0.0, -0.4, 0.0, 0.9][:dim])]
     for x0 in starts:
         for maxfev in [*range(1, 41), 100, 4000]:
+            got = extremal.minimize(objective, x0, fatol=1e-10, maxfev=maxfev)
             for maxiter in (maxfev, 4000):
                 options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": maxiter, "maxfev": maxfev}
                 want = minimize(objective, x0, method="Nelder-Mead", options=options)
-                got = extremal.minimize(objective, x0, **options)
                 case = (list(x0), maxfev, maxiter)
                 assert got.x.tobytes() == want.x.tobytes(), case
                 assert got.fun == want.fun, case
@@ -351,7 +351,7 @@ def test_minimize_matches_scipy_nelder_mead_on_nan_values():
     for maxfev in (20, 100, 400, 4000):
         options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": 4000, "maxfev": maxfev}
         want = minimize(objective, x0, method="Nelder-Mead", options=options)
-        got = extremal.minimize(objective, x0, **options)
+        got = extremal.minimize(objective, x0, fatol=1e-10, maxfev=maxfev)
         assert got.x.tobytes() == want.x.tobytes(), maxfev
         assert np.array_equal(got.fun, want.fun, equal_nan=True), maxfev
         assert (got.nfev, got.success) == (want.nfev, want.success), maxfev
