@@ -172,6 +172,22 @@ def check_count(value, message: str, lo: int, hi: float = math.inf) -> int:
     return int(value)
 
 
+def check_numbers(values, message: str) -> np.ndarray:
+    """``values`` as a float array, else DomainError; text, bytes and bools are not numbers.
+
+    A numeric array passes on its dtype alone; only an object array (None,
+    Fraction and the like convert one by one) is looked through for text.
+    """
+    try:
+        arr = np.asarray(values)
+        kind = arr.dtype.kind
+        if kind not in "iufO" or kind == "O" and any(isinstance(a, (str, bytes)) for a in arr.flat):
+            raise TypeError("text is not a number")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(message) from exc
+
+
 def unit_point(t: float) -> PlanePoint:
     """Cartesian coordinates of the boundary point at turn fraction ``t``."""
     if not math.isfinite(t):

@@ -25,7 +25,8 @@ from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, invert_fractions
 from .errors import ConvergenceError, DomainError, UnknownSuiteError
 from .measures import MAJORIZATION_SLACK, _prefix_margins, _sorted_spectra, area_upper_bound
 from .measures import euclidean_area, side_region_area
-from .polygon import IdealPolygon, _image_blocks, angle_tables, grow_body, is_regular
+from .polygon import IdealPolygon, _check_rows, _grow, _image_blocks, _regular_rows
+from .polygon import angle_tables, grow_body, is_regular
 
 
 @dataclass(frozen=True)
@@ -584,21 +585,25 @@ def _suite_nonregular_stays(samples: int, seed: int):
     """Bodies of non-regular seeds are non-regular at s = 1 and s = 2.
 
     Seeds keep every angle above 0.05 so two generations of growth stay
-    clear of the arc-underflow guard.
+    clear of the arc-underflow guard.  All seeds of a side count grow
+    together, once, to s = 2.  The boundary arcs of a seed's body at s are
+    the free widths of its generation-s cells, rotated, and regularity does
+    not depend on where the boundary starts.  Seeds that read regular (a
+    random draw never does) are skipped.
     """
     violations = []
     for _, cases, rows in _mixed_rows(samples, seed, 3, floor=0.05):
-        hits = []  # (row, generations) of every regular body
-        for i, row in enumerate(rows):
-            if is_regular(row):
-                continue  # a random draw never is; guard anyway
-            poly = IdealPolygon(tuple(row))
-            hits += [(i, s) for s in (1, 2) if is_regular(grow_body(poly, s).boundary_angles)]
-        i, s = np.array(hits, dtype=int).reshape(-1, 2).T
+        _check_rows(rows)
+        skipped = _regular_rows(rows)
+        gaps = _grow(rows, 2)
+        # entry [i, s - 1]: the body of row i at s is regular
+        regular = np.stack([_regular_rows(gaps[s][:, :, :-1]) for s in (1, 2)], axis=1)
+        del gaps  # the next side count's cells need the room
+        i, s = np.nonzero(regular & ~skipped[:, None])  # row by row, s = 1 first
         violations += _violations(
             "non-regular seed grows a non-regular body",
             cases[i],
-            {"angles": rows[i], "generations": s},
+            {"angles": rows[i], "generations": s + 1},
             {"observed_regular": True},
         )
     return samples, violations, {"n_range": [3, 8]}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count
+from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, check_numbers
 from .errors import DomainError
 from .polygon import IdealPolygon, _validate_angles
 
@@ -43,10 +43,10 @@ _ONE_MINUS_X_COT_X = (0.0, 1 / 3, 1 / 45, 2 / 945, 1 / 4725, 2 / 93555, 1382 / 6
 def side_region_area(alpha):
     """Euclidean area cut off toward one side of angle ``alpha`` turns.
 
-    Accepts a scalar or an ndarray; every value must lie in (0, 1/2) within
-    the standard clamp.
+    Accepts a scalar or an ndarray of numbers (not text); every value must
+    lie in (0, 1/2) within the standard clamp.
     """
-    arr = np.asarray(alpha, dtype=float)
+    arr = check_numbers(alpha, "alpha must be a number")
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise DomainError("alpha must be finite")
     if np.any(arr < ALPHA_MIN) or np.any(arr > ALPHA_MAX):
@@ -126,7 +126,7 @@ class AngleSpectrum:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = check_numbers(self.values, "spectrum values must be numbers")
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("spectrum must be a non-empty flat vector")
         if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
@@ -158,7 +158,7 @@ def _prefix_margins(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def decreasing_rearrangement(values) -> AngleSpectrum:
     """Sort a vector into a decreasing spectrum."""
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = check_numbers(values, "spectrum values must be numbers").ravel()
     if arr.size == 0:
         raise DomainError("cannot rearrange an empty vector")
     return AngleSpectrum(_sorted_spectra(arr))

@@ -22,6 +22,7 @@ batched step and splices the boundary in creation order, without a sort.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -35,6 +36,7 @@ from .disk_geometry import (
     CirclePoint,
     GeodesicSide,
     check_count,
+    check_numbers,
     invert_fractions,  # noqa: F401  re-exported: perfbench's tracer wraps it here
     invert_on_circle,
     wrap_unit,
@@ -51,26 +53,24 @@ REGULARITY_TOL = 1e-9
 
 def _angle_vector(angles) -> np.ndarray:
     """Flat float vector of >= 3 angles; text, bytes and bools are not numbers."""
-    try:
-        arr = np.asarray(angles)
-        kind = arr.dtype.kind  # objects such as None or Fraction convert one by one
-        if kind not in "iufO" or kind == "O" and any(isinstance(a, (str, bytes)) for a in arr.flat):
-            raise TypeError("text is not an angle")
-        arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise DomainError("need a flat vector of decimal angles") from exc
+    arr = check_numbers(angles, "need a flat vector of decimal angles")
     if arr.ndim != 1 or arr.size < 3:
         raise DomainError("need a flat vector of at least 3 angles")
     return arr
 
 
-def _validate_angles(angles) -> np.ndarray:
-    """Flat float vector of >= 3 angles in [ALPHA_MIN, ALPHA_MAX], fsum within SUM_TOL of 1."""
-    arr = _angle_vector(angles)
-    if not np.all((arr >= ALPHA_MIN) & (arr <= ALPHA_MAX)):
+def _check_rows(rows: np.ndarray) -> None:
+    """DomainError unless every angle is in [ALPHA_MIN, ALPHA_MAX] and every row's fsum within SUM_TOL of 1."""
+    if not np.all((rows >= ALPHA_MIN) & (rows <= ALPHA_MAX)):
         raise DomainError("alpha must be in (0, 0.5)")
-    if abs(math.fsum(arr.tolist()) - 1.0) > SUM_TOL:
+    if any(abs(math.fsum(row) - 1.0) > SUM_TOL for row in rows.tolist()):
         raise DomainError("angles must sum to 1")
+
+
+def _validate_angles(angles) -> np.ndarray:
+    """Flat float vector of >= 3 angles that passes :func:`_check_rows`."""
+    arr = _angle_vector(angles)
+    _check_rows(arr[None, :])
     return arr
 
 
@@ -285,10 +285,23 @@ def max_inverted_angle(poly: IdealPolygon) -> tuple[float, int, int]:
     return float(table[j, k]), j + 1, k + 1
 
 
+def _regular_rows(rows: np.ndarray, tol: float = REGULARITY_TOL) -> np.ndarray:
+    """Whether every entry of each ``rows[i]`` is within ``tol`` of 1/m, m its entry count.
+
+    The largest ``|x - 1/m|`` comes from the extremes of ``rows[i]``:
+    rounding keeps ``x - 1/m`` in the order of ``x``, so it is the same
+    number without an array of differences.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol >= 0):
+        raise DomainError("regularity tolerance must be finite and non-negative")
+    axes = tuple(range(1, rows.ndim))
+    mean = 1.0 / math.prod(rows.shape[1:])
+    return np.maximum(rows.max(axis=axes) - mean, mean - rows.min(axis=axes)) <= tol
+
+
 def is_regular(angles, tol: float = REGULARITY_TOL) -> bool:
-    """Whether all angles agree with 1/n within ``tol``."""
-    arr = _angle_vector(angles)
-    return bool(np.max(np.abs(arr - 1.0 / arr.size)) <= tol)
+    """Whether all angles agree with 1/n within ``tol``, a finite number >= 0."""
+    return bool(_regular_rows(_angle_vector(angles)[None, :], tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,29 +345,22 @@ class Body:
         return tuple(out)
 
 
-def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) -> Body:
-    """Grow the reflection body of ``poly`` through ``s`` generations.
+def _grow(seeds: np.ndarray, s: int) -> list[np.ndarray]:
+    """Side widths of generations 0..s grown from a ``(B, n)`` batch of seeds.
 
-    Generation 0 is the seed; generation ``g + 1`` reflects every
+    Generation 0 is the seeds; generation ``g + 1`` reflects every
     generation-``g`` cell across each of its free sides (all ``n`` sides
-    for the seed, the ``n - 1`` non-shared ones afterwards), in one batched
-    step through the kernel of :func:`angle_tables`.  Children come out in
-    creation order, which is also the positive order of the arcs they
-    cover, so the boundary is the last generation's free widths in that
-    order, rotated once to start at the smallest fraction; nothing is
-    sorted.  Grown arcs keep their relative precision; growth stops with
-    ``PrecisionError`` once a new arc falls below ``ARC_GUARD``.
+    for a seed, the ``n - 1`` non-shared ones afterwards), in one batched
+    step through the kernel of :func:`angle_tables`.  A cell's children
+    follow one another in creation order, so entry ``g`` of the result,
+    shaped ``(B, C_g, n)``, holds each seed's cells together; every cell's
+    widths come from that cell alone, so a seed grows the same widths in
+    any batch.  Growth stops with ``PrecisionError`` once a new arc falls
+    below ``ARC_GUARD``.  This is the one generation loop.
     """
-    s = check_count(s, "generation count must be a non-negative integer", lo=0)
-    max_sides = check_count(max_sides, "side cap must be a positive integer", lo=1)
-    n = poly.n
-    projected = n * (n - 1) ** s
-    if projected > max_sides:
-        raise DepthLimitError(
-            f"projected boundary side count {projected} exceeds cap {max_sides}"
-        )
-    widths = np.asarray(poly.angles, dtype=float)[None, :]
-    gaps = [widths]
+    b, n = seeds.shape
+    widths = seeds
+    gaps = [seeds[:, None, :]]
     for g in range(s):
         free = n if g == 0 else n - 1
         children = np.empty((len(widths), free, n))
@@ -364,8 +370,29 @@ def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) ->
         if not children[:, :, :-1].min() >= ARC_GUARD:
             raise PrecisionError("arc width underflow: vertices no longer separable")
         widths = children.reshape(-1, n)
-        gaps.append(widths)
-    arcs = (widths if s == 0 else widths[:, :-1]).reshape(-1)
+        gaps.append(widths.reshape(b, -1, n))
+    return gaps
+
+
+def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) -> Body:
+    """Grow the reflection body of ``poly`` through ``s`` generations.
+
+    The cells are :func:`_grow` of the one seed.  Children come out in
+    creation order, which is also the positive order of the arcs they
+    cover, so the boundary is the last generation's free widths in that
+    order, rotated once to start at the smallest fraction; nothing is
+    sorted.  Grown arcs keep their relative precision.
+    """
+    s = check_count(s, "generation count must be a non-negative integer", lo=0)
+    max_sides = check_count(max_sides, "side cap must be a positive integer", lo=1)
+    n = poly.n
+    projected = n * (n - 1) ** s
+    if projected > max_sides:
+        raise DepthLimitError(
+            f"projected boundary side count {projected} exceeds cap {max_sides}"
+        )
+    gaps = [cells[0] for cells in _grow(np.asarray(poly.angles, dtype=float)[None, :], s)]
+    arcs = (gaps[-1] if s == 0 else gaps[-1][:, :-1]).reshape(-1)
     # the arcs start at the seed's first vertex; move the first vertex past
     # one full turn, the smallest fraction, to the front
     past = int(np.searchsorted(poly.rotation + np.cumsum(arcs[:-1]), 1.0))

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from hypergon import (
+    AngleSpectrum,
     GeodesicSide,
     IdealPolygon,
     SimplexPoint,
     area_upper_bound,
+    decreasing_rearrangement,
     euclidean_area,
     grid_scan,
     grow_body,
@@ -29,6 +31,7 @@ from hypergon import (
 )
 from hypergon.disk_geometry import ALPHA_MAX, ALPHA_MIN, SUM_TOL
 from hypergon.errors import DomainError
+from hypergon.polygon import _regular_rows
 
 SQUARE = IdealPolygon.regular(4)
 
@@ -141,3 +144,42 @@ def test_is_regular_rejects_text(angles):
 def test_numeric_objects_convert_one_by_one():
     assert IdealPolygon((Fraction(1, 4),) * 4).angles == (0.25,) * 4
     assert is_regular([Fraction(1, 3)] * 3)
+
+
+TEXT = ["0.3", "a", ["0.3", "0.2"], [b"0.3", b"0.2"], [0.3, "0.2"], np.array(["0.3", "0.2"])]
+TEXT_IDS = ["numeric-str", "str", "numeric-str-list", "bytes-list", "str-among-floats", "str-array"]
+
+
+@pytest.mark.parametrize("values", TEXT, ids=TEXT_IDS)
+def test_side_region_area_rejects_text(values):
+    with pytest.raises(DomainError, match="alpha must be a number"):
+        side_region_area(values)
+
+
+@pytest.mark.parametrize("values", TEXT, ids=TEXT_IDS)
+@pytest.mark.parametrize("build", [AngleSpectrum, decreasing_rearrangement], ids=["AngleSpectrum", "rearrangement"])
+def test_spectra_reject_text(build, values):
+    with pytest.raises(DomainError, match="spectrum values must be numbers"):
+        build(values)
+
+
+def test_area_and_spectra_take_numbers_of_any_kind():
+    assert side_region_area(Fraction(1, 4)) == side_region_area(0.25)
+    assert np.array_equal(side_region_area(np.array([1, 2]) / 10), side_region_area([0.1, 0.2]))
+    assert decreasing_rearrangement([Fraction(1, 5), 3, np.float32(0.5)]).values.tolist() == [3.0, 0.5, 0.2]
+    assert AngleSpectrum(np.array([2, 1])).total == 3.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf, math.inf, "1e-9", b"0", None, True, [1e-9]])
+def test_regularity_tolerance_must_be_finite_and_non_negative(tol):
+    with pytest.raises(DomainError, match="regularity tolerance"):
+        is_regular([1 / 3] * 3, tol)
+    with pytest.raises(DomainError, match="regularity tolerance"):
+        _regular_rows(np.full((2, 3), 1 / 3), tol)
+
+
+def test_regularity_tolerance_accepts_zero_and_numpy_numbers():
+    assert is_regular([1 / 3] * 3, 0)
+    assert is_regular([0.25] * 4, np.float64(0.0))
+    assert not is_regular([0.3, 0.3, 0.4], np.float32(0.05))
+    assert is_regular([0.3, 0.3, 0.4], Fraction(1, 10))

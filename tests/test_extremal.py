@@ -25,7 +25,8 @@ from hypergon.extremal import (
 from hypergon.disk_geometry import invert_fractions
 from hypergon.measures import MAJORIZATION_SLACK, area_upper_bound, decreasing_rearrangement, majorizes
 from hypergon.measures import euclidean_area, side_region_area
-from hypergon.polygon import IdealPolygon, _block_rows, angle_tables, inverted_angle_matrix, is_regular
+from hypergon.polygon import REGULARITY_TOL, IdealPolygon, _block_rows, _regular_rows, angle_tables, grow_body
+from hypergon.polygon import inverted_angle_matrix, is_regular
 
 M_STAR = 0.25 - math.atan(0.5) / math.pi  # objective at the regular 4-gon
 
@@ -726,25 +727,27 @@ def test_lemma33_records_planted_regularity(monkeypatch):
 
 
 def test_lemma34_records_planted_regular_bodies(monkeypatch):
-    # each seed asks for its own regularity, then for its bodies' at s = 1
-    # and s = 2.  Plant regular bodies for seeds 0 (s = 1), 1 (s = 2) and
-    # 2 (both); seed 3 reads regular itself and is skipped, so seed 4's
-    # s = 2 body is call 12; the last call is the last seed's s = 2 body.
+    # each side count asks the row-wise check three times: for its seeds,
+    # then for their bodies at s = 1 and at s = 2.  Plant regular bodies for
+    # seeds 0 (s = 1), 1 (s = 2), 2 (both) and 4 (s = 2) of the first count
+    # and for the last seed of the last count (s = 2); seed 3 reads regular
+    # itself, so its planted bodies must be skipped.
     samples, seed = 30, 3
     drawn = _drawn(samples, seed, floor=0.05)
     assert len(drawn[0][1]) >= 5 and drawn[-1][0] > drawn[0][0]
-    total = 3 * samples - 2
-    planted_calls = {1, 5, 7, 8, 9, 12, total - 1}
+    planted_rows = {(0, 0): [3], (0, 1): [0, 2, 3], (0, 2): [1, 2, 3, 4], (len(drawn) - 1, 2): [-1]}
+    shapes = [(len(cases), n * (n - 1) ** s) for n, cases, _ in drawn for s in range(3)]
     calls = []
 
-    def planted(angles):
-        regular = len(calls) in planted_calls or is_regular(angles)
-        calls.append(angles)
+    def planted(rows, tol=REGULARITY_TOL):
+        regular = _regular_rows(rows, tol)
+        regular[planted_rows.get(divmod(len(calls), 3), [])] = True
+        calls.append((len(rows), math.prod(rows.shape[1:])))
         return regular
 
-    monkeypatch.setattr(extremal, "is_regular", planted)
+    monkeypatch.setattr(extremal, "_regular_rows", planted)
     report = property_suite("lemma34", samples=samples, seed=seed)
-    assert len(calls) == total
+    assert calls == shapes
     relation = "non-regular seed grows a non-regular body"
     (_, cases, rows), (_, last_cases, last_rows) = drawn[0], drawn[-1]
     hits = [(cases, rows, 0, 1), (cases, rows, 1, 2), (cases, rows, 2, 1), (cases, rows, 2, 2)]
@@ -759,6 +762,29 @@ def test_lemma34_records_planted_regular_bodies(monkeypatch):
         for c, r, i, s in hits
     ]
     _assert_records(report, expected)
+    assert int(cases[3]) not in [v.case for v in report.violations]
+
+
+@pytest.mark.parametrize("tol", [REGULARITY_TOL, 0.05], ids=["default", "loose"])
+def test_lemma34_verdicts_match_grow_body_seed_by_seed(monkeypatch, tol):
+    # at the loose tolerance some seeds read regular and are skipped, and
+    # some bodies of the others read regular at s = 1, at s = 2 or at both
+    samples, seed = 300, 8
+    expected, skipped = [], 0
+    for _, cases, rows in _drawn(samples, seed, floor=0.05):
+        for case, row in zip(cases, rows):
+            if is_regular(row, tol):
+                skipped += 1
+                continue
+            poly = IdealPolygon(tuple(row))
+            expected += [(int(case), s) for s in (1, 2) if is_regular(grow_body(poly, s).boundary_angles, tol)]
+    monkeypatch.setattr(extremal, "_regular_rows", lambda rows, _=None: _regular_rows(rows, tol))
+    report = property_suite("lemma34", samples=samples, seed=seed)
+    assert [(v.case, v.input["generations"]) for v in report.violations] == expected
+    if tol == REGULARITY_TOL:
+        assert expected == [] and skipped == 0
+    else:
+        assert {1, 2} <= {s for _, s in expected} and len(expected) < 2 * samples and skipped > 0
 
 
 def test_thm52_records_planted_bounds(monkeypatch):

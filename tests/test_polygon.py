@@ -15,6 +15,8 @@ from hypergon.polygon import (
     Body,
     IdealPolygon,
     _block_rows,
+    _grow,
+    _regular_rows,
     angle_tables,
     grow_body,
     inverted_angle_matrix,
@@ -306,6 +308,20 @@ def test_is_regular_basic():
     assert not is_regular((0.25 + 1e-6, 0.25 - 1e-6, 0.25, 0.25), 1e-9)
 
 
+def test_row_regularity_is_the_largest_deviation_at_its_exact_edge(rng):
+    # each row's tolerance is its own largest |x - 1/m|, so the test sits on
+    # the edge: any other rounding of the deviation flips some verdict
+    for m in (3, 8, 56):
+        rows = np.vstack([random_angle_vectors(rng, m, 200, floor=0.0), np.full((1, m), 1.0 / m)])
+        deviation = np.max(np.abs(rows - 1.0 / m), axis=1)
+        for row, dev in zip(rows, deviation):
+            assert is_regular(row, dev) and _regular_rows(row[None, :], dev)[0]
+            if dev > 0.0:
+                assert not is_regular(row, np.nextafter(dev, 0.0))
+        cells = rows.reshape(len(rows), 1, m)
+        assert np.array_equal(_regular_rows(cells, 0.01), deviation <= 0.01)
+
+
 def test_is_regular_of_grown_triangle():
     body = grow_body(IdealPolygon.regular(3), 1)
     assert is_regular(body.boundary_angles, 1e-9)
@@ -377,6 +393,39 @@ def test_grow_arc_underflow_guard():
 def test_grow_rejects_negative_generations():
     with pytest.raises(DomainError):
         grow_body(IdealPolygon.regular(3), -1)
+
+
+def _mixed_seeds(rng, n, count):
+    """Random seeds, the regular n-gon and one side near 1/2, in one batch."""
+    wide = np.full(n, 0.5 / (n - 1))
+    wide[n // 2] = 0.49
+    wide /= wide.sum()
+    return np.vstack([random_angle_vectors(rng, n, count, floor=0.02), np.full(n, 1.0 / n), wide])
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_batched_growth_matches_grow_body_bit_for_bit(rng, n):
+    # enough seeds that a kernel block ends inside some seed's generation-2
+    # cells, where that seed grown alone meets no block boundary
+    seeds = _mixed_seeds(rng, n, 200)
+    assert len(seeds) * n * (n - 1) > _block_rows(n) and _block_rows(n) % (n * (n - 1))
+    for s in range(3):
+        batch = _grow(seeds, s)
+        assert [g.shape for g in batch] == [(len(seeds), 1 if g == 0 else n * (n - 1) ** (g - 1), n) for g in range(s + 1)]
+        for b, row in enumerate(seeds):
+            body = grow_body(IdealPolygon(tuple(row)), s)
+            assert len(body.gaps) == s + 1
+            for g, widths in enumerate(body.gaps):
+                assert np.array_equal(batch[g][b], widths)
+
+
+def test_batched_growth_stops_for_one_thin_seed(rng):
+    # the thin seed grows one generation and stops at the second, as alone
+    thin = (0.3, 0.3, 0.399, 0.001)
+    seeds = np.vstack([random_angle_vectors(rng, 4, 20, floor=0.05), thin])
+    assert np.array_equal(_grow(seeds, 1)[1][-1], grow_body(IdealPolygon(thin), 1).gaps[1])
+    with pytest.raises(PrecisionError):
+        _grow(seeds, 2)
 
 
 def _replay_arcs(mpmath, angles, rotation, s):

@@ -8,7 +8,8 @@ to a temporary directory.  Two tests fail on purpose, because each asserts a
 real finding: criterion 3's multi-start clause meets a second basin, and
 criterion 8 meets genuine counterexamples.  The exit status is 0 only when
 the failed or errored tests are exactly those two; any other failure, a
-collection error, or one of the two passing exits 1.
+collection error, or one of the two passing exits 1.  The result line
+ends with the wall time of the pytest run, in seconds.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -45,18 +47,21 @@ def main(argv: list[str]) -> int:
             sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
             f"--junitxml={report}", *argv,
         ]
+        t0 = time.perf_counter()
         proc = subprocess.run(cmd, cwd=ROOT, env=env)
+        wall = f"pytest wall {time.perf_counter() - t0:.1f} s"
         if not report.exists():
-            print(f"tier1: pytest wrote no report (exit {proc.returncode})", file=sys.stderr)
+            print(f"tier1: pytest wrote no report (exit {proc.returncode}); {wall}", file=sys.stderr)
             return 1
         failed = failed_tests(report)
     if failed == EXPECTED_FAILURES:
-        print("tier1: OK, only the two expected failures")
+        print(f"tier1: OK, only the two expected failures; {wall}")
         return 0
     for name in sorted(failed - EXPECTED_FAILURES):
         print(f"tier1: unexpected failure: {name}", file=sys.stderr)
     for name in sorted(EXPECTED_FAILURES - failed):
         print(f"tier1: expected failure did not fail: {name}", file=sys.stderr)
+    print(f"tier1: FAILED; {wall}", file=sys.stderr)
     return 1
 
 
