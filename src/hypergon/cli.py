@@ -96,10 +96,29 @@ def polygon_from_doc(doc) -> IdealPolygon:
     return IdealPolygon(tuple(float(a) for a in angles), float(rotation))
 
 
+def _arcs_json(arcs: np.ndarray, n: int) -> str:
+    """``json.dumps(arcs.tolist())``, formatted from one repeating block.
+
+    A seed with a k-fold rotational symmetry (k divides ``n``) grows k
+    bitwise copies of one block of boundary arcs.  One comparison per
+    divisor finds the largest such k; only that block is formatted, and the
+    text is k copies of it, so equal floats print equal digits.
+    """
+    size = arcs.size
+    block = size
+    for k in range(n, 1, -1):
+        if n % k == 0 and size % k == 0 and np.array_equal(arcs[size // k :], arcs[: size - size // k]):
+            block = size // k
+            break
+    text = json.dumps(arcs[:block].tolist())[1:-1]
+    return "[" + ", ".join([text] * (size // block)) + "]"
+
+
 def body_to_json(body: Body) -> str:
     """The body document as JSON text; the boundary arcs are formatted once,
-    and ``checksum`` is the SHA-256 of exactly that ``boundary_angles`` text."""
-    arcs = json.dumps(body.boundary_angles.tolist())
+    and ``checksum`` is the SHA-256 of exactly that ``boundary_angles`` text,
+    which is ``json.dumps`` of the arcs whatever the seed."""
+    arcs = _arcs_json(body.boundary_angles, body.base.n)
     head = json.dumps(
         {"n": body.base.n, "generations": body.generations, "polygon_counts": body.polygon_counts}
     )

@@ -25,6 +25,7 @@ workers may call these concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,19 @@ def check_count(value, message: str, lo: int, hi: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
         raise DomainError(message)
     return int(value)
+
+
+def check_real(value, message: str, lo: float) -> float:
+    """``value`` as a float if it is a real number (not a bool), finite and ``>= lo``, else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(message)
+    try:
+        number = float(value)
+    except OverflowError as exc:  # an int past the largest float
+        raise DomainError(message) from exc
+    if not (math.isfinite(number) and number >= lo):
+        raise DomainError(message)
+    return number
 
 
 def check_numbers(values, message: str) -> np.ndarray:

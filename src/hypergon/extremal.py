@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, invert_fractions
+from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, check_real, invert_fractions
 from .errors import ConvergenceError, DomainError, UnknownSuiteError
 from .measures import MAJORIZATION_SLACK, _prefix_margins, _sorted_spectra, area_upper_bound
 from .measures import euclidean_area, side_region_area
@@ -353,8 +353,7 @@ def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygo
     below ``tol``; restarts the descent from the incumbent a few times to
     escape premature collapse.  Deterministic given the start.
     """
-    if not (np.isfinite(tol) and tol >= 1e-12):
-        raise DomainError("tolerance must be finite and at least 1e-12")
+    tol = check_real(tol, "tolerance must be finite and at least 1e-12", lo=1e-12)
     n = start.n
     lo, hi = ALPHA_MIN, ALPHA_MAX
 

@@ -97,12 +97,21 @@ def hyperbolic_area_quadrature(poly: IdealPolygon, cells: int = 1_000_000) -> fl
     the side's circle.  That integrand has inverse-square-root blowups at
     the cusps, absorbed by the substitution theta = cusp +/- u^2, and each
     half-side is then covered by ``cells // (2n)`` uniform Gauss cells in u.
+    A side's integral depends on its width alone, so equal sides are
+    integrated once; the total still adds one term per side, in side order.
     """
     cells = check_count(cells, "resolution too low: need at least 10000 cells", lo=10_000)
     n = poly.n
     per_half = max(1, cells // (2 * n))
     total = 0.0
+    # inline, not a helper per side: a helper frees every temporary at its
+    # return, the allocator hands the pages back, and the next side faults
+    # them in again
+    side_areas: dict[float, float] = {}
     for w in poly.angles:
+        if w in side_areas:
+            total += side_areas[w]
+            continue
         sec = 1.0 / math.cos(math.pi * w)
         edges = np.linspace(0.0, math.sqrt(0.5 * w), per_half + 1)
         mid = 0.5 * (edges[1:] + edges[:-1])
@@ -115,7 +124,8 @@ def hyperbolic_area_quadrature(poly: IdealPolygon, cells: int = 1_000_000) -> fl
         h = 0.5 * (1.0 / (1.0 - r * r) - 1.0)
         # both halves of a side integrate identically (R is even around the
         # side midpoint), hence the factor 2
-        total += 2.0 * 4.0 * math.pi * float(np.sum(wt * h * u))
+        side_areas[w] = 2.0 * 4.0 * math.pi * float(np.sum(wt * h * u))
+        total += side_areas[w]
     return total
 
 

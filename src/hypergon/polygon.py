@@ -22,7 +22,6 @@ batched step and splices the boundary in creation order, without a sort.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -37,6 +36,7 @@ from .disk_geometry import (
     GeodesicSide,
     check_count,
     check_numbers,
+    check_real,
     invert_fractions,  # noqa: F401  re-exported: perfbench's tracer wraps it here
     invert_on_circle,
     wrap_unit,
@@ -292,8 +292,7 @@ def _regular_rows(rows: np.ndarray, tol: float = REGULARITY_TOL) -> np.ndarray:
     rounding keeps ``x - 1/m`` in the order of ``x``, so it is the same
     number without an array of differences.
     """
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol >= 0):
-        raise DomainError("regularity tolerance must be finite and non-negative")
+    tol = check_real(tol, "regularity tolerance must be finite and non-negative", lo=0.0)
     axes = tuple(range(1, rows.ndim))
     mean = 1.0 / math.prod(rows.shape[1:])
     return np.maximum(rows.max(axis=axes) - mean, mean - rows.min(axis=axes)) <= tol

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import hypergon.cli
 from hypergon.cli import (
     RenderSpec,
     body_to_doc,
+    body_to_json,
     main,
     polygon_from_doc,
     polygon_to_doc,
@@ -23,7 +25,7 @@ from hypergon.cli import (
 from hypergon.errors import ConvergenceError, DomainError
 from hypergon.extremal import property_suite, sample_simplex, suite_names
 from hypergon.measures import euclidean_area
-from hypergon.polygon import IdealPolygon, grow_body
+from hypergon.polygon import Body, IdealPolygon, grow_body
 
 from conftest import random_angle_vectors
 
@@ -165,6 +167,52 @@ def test_cmd_grow_writes_exponent_form_arcs(tmp_path):
     # at s=6 the narrowest arcs are near 3.6e-8 and print in exponent form
     text = _grown_document_text(tmp_path, IdealPolygon((0.2, 0.3, 0.15, 0.35), 0.1), 6)
     assert "e-08" in text
+
+
+# the seeded digests' near-regular triangle, whose last side ends in ...334
+NEAR_REGULAR = (0.3333333333333333, 0.3333333333333333, 0.3333333333333334)
+
+
+@pytest.mark.parametrize(
+    "angles, blocks",
+    [
+        *[pytest.param(IdealPolygon.regular(n).angles, n, id=f"regular{n}") for n in range(3, 9)],
+        pytest.param((0.2, 0.3, 0.2, 0.3), 2, id="pqpq"),
+        pytest.param((0.2, 0.3, 0.3, 0.2), 1, id="pqqp"),
+        pytest.param((0.3, 0.33, 0.37), 1, id="distinct"),
+        pytest.param(NEAR_REGULAR, 1, id="near-regular"),
+    ],
+)
+@pytest.mark.parametrize("rotation", [0.0, 0.37, 0.999])
+def test_body_json_formats_one_repeating_block(monkeypatch, angles, blocks, rotation):
+    # the rotation moves the smallest fraction, so the boundary starts at
+    # a different arc of the repeating block
+    body = grow_body(IdealPolygon(angles, rotation), 3)
+    arcs = body.boundary_angles
+    formatted = []
+
+    def dumps(obj):
+        if isinstance(obj, list):
+            formatted.append(len(obj))
+        return json.dumps(obj)
+
+    monkeypatch.setattr(hypergon.cli, "json", SimpleNamespace(dumps=dumps))
+    text = body_to_json(body)
+    monkeypatch.undo()
+    expected = json.dumps(arcs.tolist())
+    boundary = text.split('"boundary_angles": ', 1)[1].split("]", 1)[0] + "]"
+    assert boundary == expected
+    assert json.loads(text)["checksum"] == hashlib.sha256(expected.encode()).hexdigest()
+    assert formatted == [arcs.size // blocks]
+
+
+def test_body_json_repeats_only_whole_blocks():
+    # seven arcs under a square's base repeat with period 3, but two blocks
+    # of three cannot make seven arcs, so the text must still hold all seven
+    arcs = [0.1, 0.2, 0.15, 0.1, 0.2, 0.15, 0.1]
+    body = Body(IdealPolygon.regular(4), 0, (), np.array(arcs))
+    boundary = body_to_json(body).split('"boundary_angles": ', 1)[1].split("]", 1)[0] + "]"
+    assert boundary == json.dumps(arcs)
 
 
 def test_cmd_grow_depth_cap_env(tmp_path, monkeypatch):

@@ -221,10 +221,19 @@ def test_refine_improves_on_best_grid_point():
 
 
 def test_refine_rejects_tiny_tolerance():
-    # NaN compares false against the floor and infinity passes it
-    for tol in (1e-13, math.nan, math.inf):
+    # NaN compares false against the floor and infinity passes it; text and
+    # None are not numbers, True is a bool, not a tolerance of 1, and 10**400
+    # is past the largest float
+    for tol in (1e-13, math.nan, math.inf, "a", None, True, 10**400):
         with pytest.raises(DomainError, match="tolerance"):
             refine_minimum(SimplexPoint((0.25,) * 4), tol)
+
+
+def test_refine_accepts_numpy_tolerance():
+    start = SimplexPoint((0.28, 0.22, 0.27, 0.23))
+    p1, v1 = refine_minimum(start, np.float64(1e-10))
+    p2, v2 = refine_minimum(start, 1e-10)
+    assert p1.angles == p2.angles and v1 == v2
 
 
 def test_refine_is_deterministic():

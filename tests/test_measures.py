@@ -207,6 +207,48 @@ def test_hyperbolic_quadrature_converges_with_cells():
     assert abs(fine - math.pi / 4) <= abs(coarse - math.pi / 4) + 1e-9
 
 
+def _per_side_quadrature(poly, cells):
+    """The quadrature as it was before equal sides were shared: every side integrated."""
+    per_half = max(1, cells // (2 * poly.n))
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    total = 0.0
+    for w in poly.angles:
+        sec = 1.0 / math.cos(math.pi * w)
+        edges = np.linspace(0.0, math.sqrt(0.5 * w), per_half + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1] - edges[0])
+        u = (mid[:, None] + half * nodes[None, :]).ravel()
+        wt = (half * weights[None, :] * np.ones_like(mid)[:, None]).ravel()
+        cos_d = np.cos(2.0 * np.pi * (u * u - 0.5 * w))
+        reach = sec * cos_d
+        r = reach - np.sqrt(np.maximum(reach * reach - 1.0, 0.0))
+        h = 0.5 * (1.0 / (1.0 - r * r) - 1.0)
+        total += 2.0 * 4.0 * math.pi * float(np.sum(wt * h * u))
+    return total
+
+
+@pytest.mark.parametrize(
+    "angles, distinct",
+    [
+        pytest.param(IdealPolygon.regular(5).angles, 1, id="regular5"),
+        pytest.param((0.2, 0.3, 0.2, 0.3), 2, id="pqpq"),
+        pytest.param((0.2, 0.3, 0.15, 0.35), 4, id="distinct"),
+    ],
+)
+@pytest.mark.parametrize("cells", [10_000, 200_000])
+def test_hyperbolic_quadrature_integrates_equal_sides_once(monkeypatch, angles, distinct, cells):
+    poly = IdealPolygon(angles)
+    expected = _per_side_quadrature(poly, cells)
+    # each side the quadrature integrates lays out its cells with one linspace
+    integrated = []
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *args, **kw: integrated.append(args[1]) or linspace(*args, **kw))
+    got = hyperbolic_area_quadrature(poly, cells)
+    monkeypatch.undo()
+    assert got == expected
+    assert len(integrated) == len(set(integrated)) == distinct
+
+
 def test_hyperbolic_quadrature_rejects_low_resolution():
     with pytest.raises(DomainError):
         hyperbolic_area_quadrature(IdealPolygon.regular(3), 9_999)

@@ -1,19 +1,22 @@
 """Print a digest of every seeded command's output, to check byte-determinism.
 
-    python3 tools/seeded_digests.py
+    python3 tools/seeded_digests.py [--root PATH]
 
-Runs a fixed list of seeded commands from the root of the checkout, with
-``src/`` on ``PYTHONPATH``, each in the same fresh temporary directory: the
-``extremal`` scan with and without ``--refine`` and ``--dump``, every
-``check`` suite, ``grow --svg``, ``render``, ``area`` and three library
-``majorization_scan`` calls.  For each command it prints one line: its
-label, exit code, the SHA-256 of its stdout and the SHA-256 of each file it
-wrote.  Two runs of the same checkout must print the same listing, and a
+Runs a fixed list of seeded commands with ``PATH/src`` on ``PYTHONPATH``,
+each in the same fresh temporary directory; ``PATH`` defaults to the
+checkout this script is in, so one listing can run against the code of
+another checkout.  The commands are the ``extremal`` scan with and without
+``--refine`` and ``--dump``, every ``check`` suite, ``grow --svg``,
+``render``, ``area``, three library ``majorization_scan`` calls, and
+``grow`` and ``area`` of the regular octagon, a seed with exactly equal
+sides.  For each command it prints one line: its label, exit code, the
+SHA-256 of its stdout and the SHA-256 of each file it wrote.  Two runs of the same checkout must print the same listing, and a
 change that keeps every result must print the listing of its parent.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -28,6 +31,7 @@ INPUTS = {
     "quad.json": '{"angles": [0.2, 0.3, 0.15, 0.35]}',
     "tri.json": '{"angles": [0.3333333333333333, 0.3333333333333333, 0.3333333333333334]}',
     "spec.json": '{"canvas": 900, "precision": 12}',
+    "oct.json": '{"angles": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}',
 }
 
 SUITES = (
@@ -72,6 +76,12 @@ COMMANDS = [
     ),
     ("area-quad", ["-m", "hypergon", "area", "--in", "quad.json", "--hyperbolic", "--cells", "200000"], []),
     *[(f"majorization-n{n}", ["-c", MAJORIZATION.format(n=n)], []) for n in (4, 5, 8)],
+    (
+        "grow-oct-s4",
+        ["-m", "hypergon", "grow", "--in", "oct.json", "--generations", "4", "--out", "oct-body.json", "--svg", "oct.svg"],
+        ["oct-body.json", "oct.svg"],
+    ),
+    ("area-oct", ["-m", "hypergon", "area", "--in", "oct.json", "--hyperbolic", "--cells", "200000"], []),
 ]
 
 
@@ -80,8 +90,11 @@ def sha256(data: bytes) -> str:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ runs (default: this one)")
+    root = parser.parse_args().root.resolve()
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, text in INPUTS.items():
