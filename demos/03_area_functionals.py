@@ -47,6 +47,7 @@ for poly, label in [
     (IdealPolygon.regular(3), "regular triangle"),
     (IdealPolygon.regular(4), "regular 4-gon"),
     (IdealPolygon((0.4, 0.3, 0.2, 0.1)), "skewed 4-gon"),
+    (IdealPolygon((0.3, 0.3, 0.397, 0.003)), "narrow-side 4-gon"),
 ]:
     quad = hyperbolic_area_quadrature(poly, 1_000_000)
     ideal = hyperbolic_area_ideal(poly.n)

@@ -415,7 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("area", help="areas and bounds of a polygon")
     p.add_argument("--in", dest="infile", required=True, metavar="POLY.JSON")
     p.add_argument("--hyperbolic", action="store_true")
-    p.add_argument("--cells", type=int, default=1_000_000)
+    p.add_argument(
+        "--cells",
+        type=int,
+        default=1_000_000,
+        help="checked (at least 10000) but unused: the quadrature is a fixed 111-node rule per side",
+    )
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("extremal", help="minimax lattice scan and refinement")

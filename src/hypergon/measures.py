@@ -10,8 +10,10 @@ a concave function on (0, 1/2), which gives the Jensen upper bound
 ``n*F(1/n)`` attained exactly at the regular polygon.  The hyperbolic area
 (for the metric ``|dz| / (1 - |z|^2)``) has the angle-independent value
 ``pi*(n - 2)/4`` for every ideal n-gon; :func:`hyperbolic_area_quadrature`
-recovers it by direct numerical integration of ``(1 - |z|^2)**-2`` with
-cusp-graded cells, serving as an oracle for the constant.
+recovers it by direct numerical integration of ``(1 - |z|^2)**-2``, one
+111-node tanh-sinh rule per distinct side, serving as an oracle for the
+constant: each side's term is within 1e-15 relative of ``pi*(1 - 2w)/4`` for
+widths up to 0.45 and within 2e-15 absolute above.
 
 Majorization of sorted angle spectra (descending prefix-sum dominance at
 equal totals) pairs with the concavity of F: summing F over a spectrum is
@@ -84,7 +86,49 @@ def hyperbolic_area_ideal(n: int) -> float:
     return math.pi * (n - 2) / 4.0
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
+def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the tanh-sinh rule on [0, 1] (Takahasi & Mori, 1974).
+
+    ``x = (1 + tanh(pi/2 sinh t)) / 2`` at ``t = k/16``, written as a
+    logistic so that nodes next to 0 keep their relative precision.  Within
+    ``|t| <= 4`` nothing overflows; nodes whose weight is below 1e-20 of the
+    largest are dropped, which leaves 111.
+    """
+    t = np.arange(-64, 65) / 16.0
+    s = 0.5 * np.pi * np.sinh(t)
+    nodes = 1.0 / (1.0 + np.exp(-2.0 * s))
+    weights = np.pi / 64.0 * np.cosh(t) / np.cosh(s) ** 2
+    keep = weights >= 1e-20 * weights.max()
+    return nodes[keep], weights[keep]
+
+
+_TS_NODES, _TS_WEIGHTS = _tanh_sinh_rule()
+
+
+def _side_area(w: float) -> float:
+    """Hyperbolic area between the origin and a side of width ``w`` turns.
+
+    With theta = cusp + u^2 on a half-side, u in [0, sqrt(w/2)], the ray to
+    the side's circle ends at ``R = 1/(reach + q)``, where ``reach = cos(2 pi
+    (u^2 - w/2)) / cos(pi w)`` and ``q^2 = reach^2 - 1 = sin(2 pi u^2) sin(2
+    pi (w - u^2)) / cos^2(pi w)``.  The radial integral is ``R / (4 q)``, so
+    the u-integrand is ``4 pi R / (4 q/u)``, smooth and bounded.  ``q/u`` is
+    formed with ``sinc``, and each sine and cosine from an angle that does
+    not cancel, so nothing is lost next to a cusp or next to w = 1/2.
+    """
+    half = math.sqrt(0.5 * w)
+    u = half * _TS_NODES
+    uu = u * u
+    d = 0.5 - w
+    # g = cos(pi w) q/u, and sin(pi (d + 2 u^2)) = cos(pi w) reach; the
+    # common cos(pi w) = sin(pi d) moves out of the sum as c^2
+    g = np.sqrt(2.0 * np.pi * np.sinc(2.0 * uu) * np.sin(2.0 * np.pi * np.minimum(w - uu, d + uu)))
+    c = math.sin(math.pi * d)
+    integrand = 1.0 / (g * (np.sin(np.pi * (d + 2.0 * uu)) + g * u))
+    # both halves of a side integrate identically (R is even around the side
+    # midpoint), hence 2 * 4 pi * c^2 / 4; fsum, because a plain dot product
+    # of these terms drifted to 1e-15 relative
+    return 2.0 * math.pi * c * c * half * math.fsum(_TS_WEIGHTS * integrand)
 
 
 def hyperbolic_area_quadrature(poly: IdealPolygon, cells: int = 1_000_000) -> float:
@@ -92,39 +136,23 @@ def hyperbolic_area_quadrature(poly: IdealPolygon, cells: int = 1_000_000) -> fl
 
     Integrates the area element ``(1 - |z|^2)**-2`` over the polygon.  The
     polygon is star-shaped about the origin, so the radial direction is
-    integrated in closed form; what remains is the boundary-angle integral
-    of ``(1/(1 - R(theta)^2) - 1)/2`` with ``R(theta)`` the ray distance to
-    the side's circle.  That integrand has inverse-square-root blowups at
-    the cusps, absorbed by the substitution theta = cusp +/- u^2, and each
-    half-side is then covered by ``cells // (2n)`` uniform Gauss cells in u.
-    A side's integral depends on its width alone, so equal sides are
-    integrated once; the total still adds one term per side, in side order.
+    integrated in closed form; what remains is a boundary-angle integral
+    with inverse-square-root blowups at the cusps, absorbed by the
+    substitution theta = cusp +/- u^2.  Each half-side is then one fixed
+    111-node tanh-sinh rule in u.  A side's integral depends on its width
+    alone, so equal sides are integrated once; the total adds one term per
+    side, in side order.  Each term is within 1e-15 relative of
+    ``pi*(1 - 2w)/4`` for widths up to 0.45 and within 2e-15 absolute above.
+
+    ``cells`` is still checked (an integer of at least 10000) but no longer
+    changes the result.
     """
-    cells = check_count(cells, "resolution too low: need at least 10000 cells", lo=10_000)
-    n = poly.n
-    per_half = max(1, cells // (2 * n))
-    total = 0.0
-    # inline, not a helper per side: a helper frees every temporary at its
-    # return, the allocator hands the pages back, and the next side faults
-    # them in again
+    check_count(cells, "resolution too low: need at least 10000 cells", lo=10_000)
     side_areas: dict[float, float] = {}
+    total = 0.0
     for w in poly.angles:
-        if w in side_areas:
-            total += side_areas[w]
-            continue
-        sec = 1.0 / math.cos(math.pi * w)
-        edges = np.linspace(0.0, math.sqrt(0.5 * w), per_half + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1] - edges[0])
-        u = (mid[:, None] + half * _GAUSS_NODES[None, :]).ravel()
-        wt = (half * _GAUSS_WEIGHTS[None, :] * np.ones_like(mid)[:, None]).ravel()
-        cos_d = np.cos(2.0 * np.pi * (u * u - 0.5 * w))
-        reach = sec * cos_d
-        r = reach - np.sqrt(np.maximum(reach * reach - 1.0, 0.0))
-        h = 0.5 * (1.0 / (1.0 - r * r) - 1.0)
-        # both halves of a side integrate identically (R is even around the
-        # side midpoint), hence the factor 2
-        side_areas[w] = 2.0 * 4.0 * math.pi * float(np.sum(wt * h * u))
+        if w not in side_areas:
+            side_areas[w] = _side_area(w)
         total += side_areas[w]
     return total
 

@@ -300,6 +300,13 @@ def test_cmd_area_hyperbolic(tmp_path, capsys):
     assert float(lines["hyperbolic_ideal"]) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+def test_cmd_area_hyperbolic_next_to_a_cusp_is_finite(tmp_path, capsys):
+    src = write_polygon(tmp_path / "narrow.json", [0.3, 0.3, 0.397, 0.003])
+    assert main(["area", "--in", str(src), "--hyperbolic"]) == 0
+    lines = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert lines["hyperbolic_area"] == "1.570796326795"
+
+
 # --- extremal ----------------------------------------------------------------
 
 

@@ -1,10 +1,13 @@
 """Area functionals, their oracles, and the majorization utilities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from hypergon import measures
+from hypergon.disk_geometry import ALPHA_MAX, ALPHA_MIN
 from hypergon.errors import DomainError
 from hypergon.extremal import FINDING_SLACK
 from hypergon.measures import (
@@ -207,26 +210,6 @@ def test_hyperbolic_quadrature_converges_with_cells():
     assert abs(fine - math.pi / 4) <= abs(coarse - math.pi / 4) + 1e-9
 
 
-def _per_side_quadrature(poly, cells):
-    """The quadrature as it was before equal sides were shared: every side integrated."""
-    per_half = max(1, cells // (2 * poly.n))
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    total = 0.0
-    for w in poly.angles:
-        sec = 1.0 / math.cos(math.pi * w)
-        edges = np.linspace(0.0, math.sqrt(0.5 * w), per_half + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1] - edges[0])
-        u = (mid[:, None] + half * nodes[None, :]).ravel()
-        wt = (half * weights[None, :] * np.ones_like(mid)[:, None]).ravel()
-        cos_d = np.cos(2.0 * np.pi * (u * u - 0.5 * w))
-        reach = sec * cos_d
-        r = reach - np.sqrt(np.maximum(reach * reach - 1.0, 0.0))
-        h = 0.5 * (1.0 / (1.0 - r * r) - 1.0)
-        total += 2.0 * 4.0 * math.pi * float(np.sum(wt * h * u))
-    return total
-
-
 @pytest.mark.parametrize(
     "angles, distinct",
     [
@@ -238,15 +221,49 @@ def _per_side_quadrature(poly, cells):
 @pytest.mark.parametrize("cells", [10_000, 200_000])
 def test_hyperbolic_quadrature_integrates_equal_sides_once(monkeypatch, angles, distinct, cells):
     poly = IdealPolygon(angles)
-    expected = _per_side_quadrature(poly, cells)
-    # each side the quadrature integrates lays out its cells with one linspace
+    expected = 0.0
+    for w in poly.angles:
+        expected += measures._side_area(w)
+    # the quadrature integrates a width with one call of the per-width term
     integrated = []
-    linspace = np.linspace
-    monkeypatch.setattr(np, "linspace", lambda *args, **kw: integrated.append(args[1]) or linspace(*args, **kw))
+    side_area = measures._side_area
+    monkeypatch.setattr(measures, "_side_area", lambda w: integrated.append(w) or side_area(w))
     got = hyperbolic_area_quadrature(poly, cells)
-    monkeypatch.undo()
     assert got == expected
     assert len(integrated) == len(set(integrated)) == distinct
+
+
+def test_hyperbolic_side_term_matches_the_closed_form_over_the_whole_clamp():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    ends = np.logspace(-12, math.log10(0.05), 150)
+    widths = np.concatenate([[ALPHA_MIN, ALPHA_MAX], ends, np.linspace(0.05, 0.45, 81), 0.5 - ends])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in widths.tolist():
+            exact = mp.pi * (1 - 2 * mp.mpf(w)) / 4
+            err = abs(mp.mpf(measures._side_area(w)) - exact)
+            # a side next to a half turn has a tiny area, so its bound is absolute
+            assert err <= (1e-15 * exact if w <= 0.45 else 2e-15), w
+
+
+@pytest.mark.parametrize("a", [10.0**-k for k in range(2, 13)])
+def test_hyperbolic_quadrature_holds_next_to_a_cusp(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hyperbolic_area_quadrature(IdealPolygon((0.3, 0.3, 0.4 - a, a)))
+    assert abs(got - math.pi / 2) <= 1e-15 * math.pi / 2
+
+
+def test_hyperbolic_quadrature_holds_on_random_and_extreme_polygons(rng):
+    polygons = [IdealPolygon((ALPHA_MAX, ALPHA_MAX, 2e-12)), IdealPolygon((ALPHA_MIN, ALPHA_MAX, 0.25, 0.25))]
+    polygons += [IdealPolygon(tuple(row)) for n in range(3, 9) for row in random_angle_vectors(rng, n, 40, floor=1e-9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for poly in polygons:
+            ideal = hyperbolic_area_ideal(poly.n)
+            assert abs(hyperbolic_area_quadrature(poly) - ideal) <= 1e-15 * ideal, poly.angles
 
 
 def test_hyperbolic_quadrature_rejects_low_resolution():

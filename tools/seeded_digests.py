@@ -9,7 +9,8 @@ another checkout.  The commands are the ``extremal`` scan with and without
 ``--refine`` and ``--dump``, every ``check`` suite, ``grow --svg``,
 ``render``, ``area``, three library ``majorization_scan`` calls, and
 ``grow`` and ``area`` of the regular octagon, a seed with exactly equal
-sides.  For each command it prints one line: its label, exit code, the
+sides, and ``area --hyperbolic`` of a 4-gon with a side of 0.003, next to a
+cusp.  For each command it prints one line: its label, exit code, the
 SHA-256 of its stdout and the SHA-256 of each file it wrote.  Two runs of the same checkout must print the same listing, and a
 change that keeps every result must print the listing of its parent.
 """
@@ -32,6 +33,7 @@ INPUTS = {
     "tri.json": '{"angles": [0.3333333333333333, 0.3333333333333333, 0.3333333333333334]}',
     "spec.json": '{"canvas": 900, "precision": 12}',
     "oct.json": '{"angles": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}',
+    "narrow.json": '{"angles": [0.3, 0.3, 0.397, 0.003]}',
 }
 
 SUITES = (
@@ -82,6 +84,7 @@ COMMANDS = [
         ["oct-body.json", "oct.svg"],
     ),
     ("area-oct", ["-m", "hypergon", "area", "--in", "oct.json", "--hyperbolic", "--cells", "200000"], []),
+    ("area-narrow", ["-m", "hypergon", "area", "--in", "narrow.json", "--hyperbolic"], []),
 ]
 
 
