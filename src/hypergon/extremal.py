@@ -15,6 +15,7 @@ and a counterexample is reported as a first-class finding, not an error.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -46,79 +47,90 @@ class _CapReached(Exception):
 def minimize(fun, x0, *, fatol: float, maxfev: int) -> Descent:
     """Nelder–Mead descent of ``fun`` from ``x0`` (Nelder & Mead, 1965).
 
-    A step-for-step port of scipy 1.17's ``_minimize_neldermead`` without
-    bounds or adaptive coefficients: the same vertices, operations and
-    order, so the same points, values and call counts.  A vertex moves by
-    5 % of its entry (0.00025 from a zero entry) and the coefficients are
-    reflection 1, expansion 2, contraction and shrink 1/2.  The descent
-    stops when vertices lie within ``_REFINE_XATOL`` and values within
-    ``fatol`` of the best, or, unconverged, after ``maxfev`` calls, even
-    partway through a shrink.  scipy's iteration cap is left out: every
-    iteration makes at least one call, so a cap of ``maxfev`` or more
-    iterations never ends a descent.
+    ``fun`` maps a ``(k, N)`` array of points to their ``k`` values, and a
+    point's value must not depend on the rest of its batch.  The descent is
+    scipy 1.17's ``_minimize_neldermead`` without bounds or adaptive
+    coefficients: the same vertices, operations and order, so the same
+    points, values and call counts.  Vertices and values are Python floats;
+    ranking stays ``np.argsort``, which orders tied values as scipy does.  A
+    vertex moves by 5 % of its entry (0.00025 from a zero entry) and the
+    coefficients are reflection 1, expansion 2, contraction and shrink 1/2.
+
+    Each iteration evaluates its reflection, expansion and both
+    contractions in one call of ``fun``, and a shrink its ``N`` points in
+    one more; ``nfev`` counts only the points that one-at-a-time descent
+    evaluates.  The descent stops when vertices lie within
+    ``_REFINE_XATOL`` and values within ``fatol`` of the best, or,
+    unconverged, after ``maxfev`` counted calls, even partway through a
+    shrink, where the vertex whose call the cap denies has already moved.
+    scipy's iteration cap is left out: every iteration makes at least one
+    call, so a cap of ``maxfev`` or more iterations never ends a descent.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).flatten()
+    x0 = np.asarray(x0, dtype=float).flatten().tolist()
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
+    sim = [list(x0) for _ in range(n + 1)]
     for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
-    nfev = 0
+        sim[k + 1][k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = [math.inf] * (n + 1)
 
-    def f(x):
+    def evaluate(points):  # values of the points, in one call of fun
+        return fun(np.array(points).reshape(len(points), n)).tolist() if points else []
+
+    def count():  # one call of the one-at-a-time descent
         nonlocal nfev
         if nfev >= maxfev:
             raise _CapReached
         nfev += 1
-        return fun(np.copy(x))
 
     def ranked():  # vertices and values, best first
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        order = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in order], [fsim[i] for i in order]
 
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _CapReached:
-        pass
+    nfev = min(n + 1, maxfev)
+    fsim[:nfev] = evaluate(sim[:nfev])
     sim, fsim = ranked()
     sim, fsim = ranked()  # scipy ranks twice; from 17 vertices on, numpy may reorder ranked NaNs
     while nfev < maxfev:
+        best, worst = sim[0], sim[-1]
+        if all(abs(v - b) <= _REFINE_XATOL for x in sim[1:] for v, b in zip(x, best)) and all(
+            abs(fsim[0] - f) <= fatol for f in fsim[1:]
+        ):
+            break
+        total = best
+        for x in sim[1:-1]:  # np.add.reduce adds the vertices one after another
+            total = [t + v for t, v in zip(total, x)]
+        xbar = [t / n for t in total]
+        xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
+        xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
+        xo = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]  # outside contraction
+        xi = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]  # inside contraction
+        fxr, fxe, fxo, fxi = evaluate([xr, xe, xo, xi])
         try:
-            if (
-                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _REFINE_XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-            ):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = f(xr)
+            count()
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = f(xe)
+                count()
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
+                count()
+                if fxr < fsim[-1]:
+                    xc, fxc, accept = xo, fxo, fxo <= fxr
+                else:
+                    xc, fxc, accept = xi, fxi, fxi < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink toward the best vertex
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
+                else:  # shrink toward the best vertex; a cap stops it after moving one more vertex
+                    k = min(n, maxfev - nfev)
+                    moved = min(n, k + 1)
+                    sim[1 : moved + 1] = [[b + sigma * (v - b) for b, v in zip(best, x)] for x in sim[1 : moved + 1]]
+                    fsim[1 : k + 1] = evaluate(sim[1 : k + 1])
+                    nfev += k
         except _CapReached:
             pass
         sim, fsim = ranked()
-    return Descent(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, success=nfev < maxfev)
+    return Descent(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev, success=nfev < maxfev)
 
 
 # Lattice steps coarser than 1/100 cannot isolate the regular point.
@@ -277,8 +289,8 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     impractical; n = 4 at step 1/200 evaluates 646,899 points in seconds.
     """
     n = check_count(n, "side count must be an integer in 3..8", lo=3, hi=8)
-    if not step > 0.0:
-        raise DomainError("grid step must be positive")
+    # from the smallest normal float up, 1 / step is finite
+    step = check_real(step, "grid step must be positive", lo=np.finfo(float).tiny)
     if step > MAX_GRID_STEP:
         raise DomainError("grid step too coarse")
     total = round(1.0 / step)
@@ -357,22 +369,22 @@ def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygo
     n = start.n
     lo, hi = ALPHA_MIN, ALPHA_MAX
 
-    row = np.empty((1, n))  # reused by every evaluation
-    a = row[0]
-
-    def objective(y: np.ndarray) -> float:
-        a[:-1] = y
-        a[-1] = 1.0 - y.sum()
-        if lo <= a.min() and a.max() <= hi:
-            return float(_objective_batch(row)[0])
-        excess = np.sum(np.maximum(lo - a, 0.0) + np.maximum(a - hi, 0.0))
+    def objective(points: np.ndarray) -> np.ndarray:  # (k, n - 1) reduced points, row by row
+        rows = np.concatenate([points, 1.0 - points.sum(axis=1, keepdims=True)], axis=1)
+        if lo <= rows.min() and rows.max() <= hi:
+            return _objective_batch(rows)
+        out = ~((lo <= rows.min(axis=1)) & (rows.max(axis=1) <= hi))
+        a = rows[out]
+        excess = np.sum(np.maximum(lo - a, 0.0) + np.maximum(a - hi, 0.0), axis=1)
         clipped = np.clip(a, lo, hi)
-        clipped = clipped / clipped.sum()
-        return float(_objective_batch(clipped[None, :])[0]) + 10.0 * float(excess)
+        rows[out] = clipped / clipped.sum(axis=1, keepdims=True)
+        values = _objective_batch(rows)
+        values[out] += 10.0 * excess
+        return values
 
     y = np.asarray(start.angles[: n - 1])
     best_y = y
-    best_val = objective(y)
+    best_val = float(objective(y[None, :])[0])
     converged = False
     for _ in range(_REFINE_RESTARTS):
         res = minimize(objective, best_y, fatol=tol, maxfev=_REFINE_MAX_ITER)

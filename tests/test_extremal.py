@@ -173,6 +173,13 @@ def test_grid_scan_rejects_coarse_steps(step):
         grid_scan(4, step)
 
 
+@pytest.mark.parametrize("step", ["0.01", b"0.01", None, True, math.nan, 0.0, -0.01, 5e-324])
+def test_grid_scan_rejects_a_step_that_is_not_a_positive_number(step):
+    # text used to raise a bare TypeError, and a subnormal step overflowed 1 / step
+    with pytest.raises(DomainError, match="grid step must be positive"):
+        grid_scan(4, step)
+
+
 def test_grid_scan_rejects_non_divisor_step():
     with pytest.raises(DomainError):
         grid_scan(4, 1.0 / 100.5)
@@ -288,11 +295,13 @@ def test_refine_matches_scipy_on_the_plain_objective_bit_for_bit(monkeypatch):
     # mixed starts follow, one draw from each of two seeds per side count
     starts = [(0.3, 0.3, 0.39, 0.01)]
     starts += [tuple(sample_simplex(n, 1, np.random.default_rng(seed))[0]) for n in range(3, 7) for seed in (1, 2)]
+    # from 5 vertices on ties can rank in more than one order, so reach n = 8
+    starts += [tuple(sample_simplex(n, 1, np.random.default_rng(1))[0]) for n in (7, 8)]
     objectives, nfevs = [], []
     minimize = extremal.minimize
 
     def spy(fun, x0, **kwargs):
-        objectives.append(fun)
+        objectives.append(lambda y: fun(y[None, :])[0])
         res = minimize(fun, x0, **kwargs)
         nfevs.append(res.nfev)
         return res
@@ -313,6 +322,38 @@ def test_refine_matches_scipy_on_the_plain_objective_bit_for_bit(monkeypatch):
     assert penalized[0]
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_objective_values_do_not_depend_on_the_batch(n, monkeypatch):
+    # minimize evaluates its trial points in one call, so each point must get
+    # the value it gets alone, in the kernel and in refine_minimum's objective
+    class Captured(Exception):
+        pass
+
+    def capture(fun, x0, **kwargs):
+        raise Captured(fun)
+
+    monkeypatch.setattr(extremal, "minimize", capture)
+    with pytest.raises(Captured) as caught:
+        refine_minimum(SimplexPoint((1.0 / n,) * n), 1e-10)
+    objective = caught.value.args[0]
+
+    rng = np.random.default_rng(60 + n)
+    points = sample_simplex(n, 3 * (n + 1), rng)[:, :-1]
+    points[1::3, 0] = -0.01  # the first angle below the clamp
+    points[2::3, 0] = 0.6  # the first angle past 1/2
+    rows = np.column_stack([points, 1.0 - points.sum(axis=1)])
+    outside = (rows.min(axis=1) < ALPHA_MIN) | (rows.max(axis=1) > 0.5 - ALPHA_MIN)
+    assert outside.sum() == 2 * (n + 1)
+    # the kernel also sees the clamped rows the penalty path hands it
+    clamped = np.clip(rows[outside], ALPHA_MIN, 0.5 - ALPHA_MIN)
+    rows[outside] = clamped / clamped.sum(axis=1, keepdims=True)
+    for fun, batch in ((objective, points), (extremal._objective_batch, rows)):
+        alone = np.concatenate([fun(batch[i : i + 1]) for i in range(len(batch))])
+        for size in range(2, n + 2):
+            for i in range(len(batch) - size + 1):
+                assert fun(batch[i : i + size]).tobytes() == alone[i : i + size].tobytes(), (size, i)
+
+
 def _rosenbrock(x):
     # with (1 - x_i)^2 on every coordinate, so that one dimension is not flat
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2) + np.sum((1.0 - x) ** 2))
@@ -328,6 +369,11 @@ def _stairs(x):
     return float(np.floor(8.0 * np.sum((x - 0.3) ** 2)))
 
 
+def _rows(objective):
+    """``objective`` over the rows of a (k, N) array, as ``extremal.minimize`` calls it."""
+    return lambda points: np.array([objective(x) for x in points])
+
+
 @pytest.mark.parametrize("objective", [_rosenbrock, _kinked, _stairs])
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
 def test_minimize_matches_scipy_nelder_mead_at_every_cap(objective, dim):
@@ -338,7 +384,7 @@ def test_minimize_matches_scipy_nelder_mead_at_every_cap(objective, dim):
     starts = [np.array([0.0, -1.2, 1.0, 0.5, 2.0][:dim]), np.array([1.7, 0.0, -0.4, 0.0, 0.9][:dim])]
     for x0 in starts:
         for maxfev in [*range(1, 41), 100, 4000]:
-            got = extremal.minimize(objective, x0, fatol=1e-10, maxfev=maxfev)
+            got = extremal.minimize(_rows(objective), x0, fatol=1e-10, maxfev=maxfev)
             for maxiter in (maxfev, 4000):
                 options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": maxiter, "maxfev": maxfev}
                 want = minimize(objective, x0, method="Nelder-Mead", options=options)
@@ -361,7 +407,7 @@ def test_minimize_matches_scipy_nelder_mead_on_nan_values():
     for maxfev in (20, 100, 400, 4000):
         options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": 4000, "maxfev": maxfev}
         want = minimize(objective, x0, method="Nelder-Mead", options=options)
-        got = extremal.minimize(objective, x0, fatol=1e-10, maxfev=maxfev)
+        got = extremal.minimize(_rows(objective), x0, fatol=1e-10, maxfev=maxfev)
         assert got.x.tobytes() == want.x.tobytes(), maxfev
         assert np.array_equal(got.fun, want.fun, equal_nan=True), maxfev
         assert (got.nfev, got.success) == (want.nfev, want.success), maxfev

@@ -9,10 +9,13 @@ another checkout.  The commands are the ``extremal`` scan with and without
 ``--refine`` and ``--dump``, every ``check`` suite, ``grow --svg``,
 ``render``, ``area``, three library ``majorization_scan`` calls, and
 ``grow`` and ``area`` of the regular octagon, a seed with exactly equal
-sides, and ``area --hyperbolic`` of a 4-gon with a side of 0.003, next to a
-cusp.  For each command it prints one line: its label, exit code, the
-SHA-256 of its stdout and the SHA-256 of each file it wrote.  Two runs of the same checkout must print the same listing, and a
-change that keeps every result must print the listing of its parent.
+sides, ``area --hyperbolic`` of a 4-gon with a side of 0.003, next to a
+cusp, and a library ``refine_minimum`` of three draws at each side count
+from 3 to 8 and of one start that takes the penalty.  For each command it
+prints one line: its label, exit code, the SHA-256 of its stdout and the
+SHA-256 of each file it wrote.  Two runs of the same checkout must print
+the same listing, and a change that keeps every result must print the
+listing of its parent.
 """
 
 from __future__ import annotations
@@ -46,6 +49,17 @@ MAJORIZATION = (
     "r = majorization_scan({n}, 20000, seed=3); "
     "print(json.dumps([r.detail, [v.as_dict() for v in r.violations]]))"
 )
+
+# Refinement of three draws at every side count, and of a start whose first
+# simplex leaves the domain, so that the penalty runs too.
+REFINE = """
+import numpy as np
+from hypergon import IdealPolygon, refine_minimum, sample_simplex
+starts = [row for n in range(3, 9) for row in sample_simplex(n, 3, np.random.default_rng(n))]
+for start in [*starts, (0.3, 0.3, 0.39, 0.01)]:
+    point, value = refine_minimum(IdealPolygon(start))
+    print(repr(point.angles), repr(value))
+"""
 
 # (label, arguments after the interpreter, files the command writes)
 COMMANDS = [
@@ -85,6 +99,7 @@ COMMANDS = [
     ),
     ("area-oct", ["-m", "hypergon", "area", "--in", "oct.json", "--hyperbolic", "--cells", "200000"], []),
     ("area-narrow", ["-m", "hypergon", "area", "--in", "narrow.json", "--hyperbolic"], []),
+    ("refine-n3-8", ["-c", REFINE], []),
 ]
 
 
