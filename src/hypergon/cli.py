@@ -29,7 +29,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .disk_geometry import GeodesicSide, check_count, invert_on_circle, unit_point
+from .disk_geometry import (
+    MIN_POSITIVE,
+    GeodesicSide,
+    check_count,
+    check_numbers,
+    check_real,
+    invert_on_circle,
+    unit_point,
+)
 from .errors import ConvergenceError, DomainError, HypergonError, PrecisionError
 from .extremal import (
     FINDING_SLACK,
@@ -61,11 +69,9 @@ def _max_sides() -> int:
         return DEFAULT_MAX_SIDES
     try:
         cap = int(raw)
-    except ValueError as exc:
-        raise DomainError("HYPERGON_MAX_SIDES must be an integer") from exc
-    if cap < 1:
-        raise DomainError("HYPERGON_MAX_SIDES must be a positive integer")
-    return cap
+    except ValueError:
+        cap = None
+    return check_count(cap, "HYPERGON_MAX_SIDES must be a positive integer", lo=1)
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +87,12 @@ def polygon_from_doc(doc) -> IdealPolygon:
         raise DomainError("polygon document must be a JSON object")
     if "angles" not in doc:
         raise DomainError("polygon document must carry an 'angles' array")
-    angles = doc["angles"]
-    # JSON true/false load as bool, a subclass of int, so compare exact types
-    if not isinstance(angles, list) or not all(type(a) in (int, float) for a in angles):
-        raise DomainError("angles must be an array of decimals")
-    n = doc.get("n", len(angles))
-    if type(n) is not int:
-        raise DomainError("n must be an integer")
-    if n != len(angles):
+    angles = check_numbers(doc["angles"], "angles must be an array of decimals")
+    n = check_count(doc.get("n", angles.size), "n must be an integer of at least 3", lo=3)
+    if n != angles.size:
         raise DomainError("n must match the number of angles")
-    rotation = doc.get("rotation", 0.0)
-    if type(rotation) not in (int, float):
-        raise DomainError("rotation must be a decimal")
-    return IdealPolygon(tuple(float(a) for a in angles), float(rotation))
+    rotation = check_real(doc.get("rotation", 0.0), "rotation must be a decimal")
+    return IdealPolygon(angles, rotation)
 
 
 def _arcs_json(arcs: np.ndarray, n: int) -> str:
@@ -154,17 +153,14 @@ class RenderSpec:
     precision: int = 6
 
     def __post_init__(self):
-        if not all(type(v) is int for v in (self.canvas, self.precision)):
-            raise DomainError("render canvas and precision must be integers")
-        strokes = (self.circle_stroke, self.side_stroke)
-        if not all(type(v) in (int, float) and math.isfinite(v) for v in strokes):
-            raise DomainError("render strokes must be finite decimals")
+        message = "render canvas and precision must be integers, canvas >= 1 and precision in 3..12"
+        object.__setattr__(self, "canvas", check_count(self.canvas, message, lo=1))
+        object.__setattr__(self, "precision", check_count(self.precision, message, lo=3, hi=12))
+        message = "render strokes must be finite decimals > 0"
+        for name in ("circle_stroke", "side_stroke"):
+            object.__setattr__(self, name, check_real(getattr(self, name), message, lo=MIN_POSITIVE))
         if not isinstance(self.colors, tuple) or not all(isinstance(c, str) for c in self.colors):
             raise DomainError("render colors must be a list of strings")
-        if self.canvas <= 0 or self.circle_stroke <= 0 or self.side_stroke <= 0:
-            raise DomainError("render sizes must be positive")
-        if not 3 <= self.precision <= 12:
-            raise DomainError("render precision must be in 3..12")
         if not self.colors:
             raise DomainError("need at least one generation color")
 

@@ -43,6 +43,9 @@ SUM_TOL = 1e-12
 # Turn-fraction tolerance under which two boundary points count as the same.
 POINT_TOL = 1e-10
 
+# The least positive float: ``check_real(v, message, lo=MIN_POSITIVE)`` takes exactly v > 0.
+MIN_POSITIVE = math.ulp(0.0)
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -72,8 +75,9 @@ class PlanePoint:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError("plane point coordinates must be finite")
+        for name in ("x", "y"):
+            value = check_real(getattr(self, name), "plane point coordinates must be finite reals")
+            object.__setattr__(self, name, value)
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -89,9 +93,7 @@ class CirclePoint:
     t: float
 
     def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise DomainError("turn fraction must be finite")
-        object.__setattr__(self, "t", wrap_unit(self.t))
+        object.__setattr__(self, "t", wrap_unit(check_real(self.t, "turn fraction must be a finite real")))
 
     def approx_eq(self, other: "CirclePoint", tol: float = POINT_TOL) -> bool:
         """Identity up to the point tolerance, after modular reduction."""
@@ -114,11 +116,10 @@ class GeodesicSide:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.alpha)):
-            raise DomainError("side parameters must be finite")
-        if not (ALPHA_MIN <= self.alpha <= ALPHA_MAX):
-            raise DomainError("alpha must be in (0, 0.5)")
-        object.__setattr__(self, "a", wrap_unit(self.a))
+        a = check_real(self.a, "side start must be a finite real")
+        alpha = check_real(self.alpha, "alpha must be in (0, 0.5)", lo=ALPHA_MIN, hi=ALPHA_MAX)
+        object.__setattr__(self, "a", wrap_unit(a))
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def end(self) -> float:
@@ -146,13 +147,12 @@ class OrthoCircle:
     radius: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.center_arg, self.center_dist, self.radius))):
-            raise DomainError("circle parameters must be finite")
-        if self.radius <= 0.0:
-            raise DomainError("radius must be positive")
-        if self.center_dist < 0.0:
-            raise DomainError("center distance must be non-negative")
-        object.__setattr__(self, "center_arg", wrap_unit(self.center_arg))
+        arg = check_real(self.center_arg, "center direction must be a finite real")
+        dist = check_real(self.center_dist, "center distance must be a finite real >= 0", lo=0.0)
+        radius = check_real(self.radius, "radius must be a finite real > 0", lo=MIN_POSITIVE)
+        object.__setattr__(self, "center_arg", wrap_unit(arg))
+        object.__setattr__(self, "center_dist", dist)
+        object.__setattr__(self, "radius", radius)
 
     @property
     def center(self) -> PlanePoint:
@@ -173,40 +173,41 @@ def check_count(value, message: str, lo: int, hi: float = math.inf) -> int:
     return int(value)
 
 
-def check_real(value, message: str, lo: float) -> float:
-    """``value`` as a float if it is a real number (not a bool), finite and ``>= lo``, else DomainError."""
+def check_real(value, message: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``value`` as a float if it is a real number (not a bool), finite and in [lo, hi], else DomainError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(message)
     try:
         number = float(value)
     except OverflowError as exc:  # an int past the largest float
         raise DomainError(message) from exc
-    if not (math.isfinite(number) and number >= lo):
+    if not (math.isfinite(number) and lo <= number <= hi):
         raise DomainError(message)
     return number
 
 
 def check_numbers(values, message: str) -> np.ndarray:
-    """``values`` as a float array, else DomainError; text, bytes and bools are not numbers.
+    """``values`` as a float array, else DomainError; text, bytes, bools and
+    integers past the largest float are not numbers.
 
-    A numeric array passes on its dtype alone; only an object array (None,
-    Fraction and the like convert one by one) is looked through for text.
+    A numeric ndarray passes on its dtype alone.  Anything else (a list, a
+    tuple, a scalar) and an object array is looked through entry by entry,
+    since a list mixing bools and floats would convert to a float array;
+    None, Fraction and the like convert one by one.
     """
     try:
-        arr = np.asarray(values)
+        arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
         kind = arr.dtype.kind
-        if kind not in "iufO" or kind == "O" and any(isinstance(a, (str, bytes)) for a in arr.flat):
-            raise TypeError("text is not a number")
+        if kind not in "iufO" or kind == "O" and any(isinstance(a, (str, bytes, bool, np.bool_)) for a in arr.flat):
+            raise TypeError("text and bools are not numbers")
         return arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(message) from exc
 
 
 def unit_point(t: float) -> PlanePoint:
     """Cartesian coordinates of the boundary point at turn fraction ``t``."""
-    if not math.isfinite(t):
-        raise DomainError("turn fraction must be finite")
-    phi = _TWO_PI * t
+    phi = _TWO_PI * check_real(t, "turn fraction must be a finite real")
     return PlanePoint(math.cos(phi), math.sin(phi))
 
 
@@ -235,9 +236,7 @@ def invert_on_circle(beta: float, side: GeodesicSide) -> float:
     branches coincide at the antipode of the midpoint, which is returned
     directly.  The side's endpoints are fixed points of the map.
     """
-    if not math.isfinite(beta):
-        raise DomainError("beta must be finite")
-    beta = wrap_unit(beta)
+    beta = wrap_unit(check_real(beta, "beta must be a finite real"))
     d = wrap_signed(beta - side.midpoint)
     if d == 0.0:
         return wrap_unit(side.midpoint + 0.5)
@@ -298,7 +297,8 @@ def inverse_distance(pq: float, op_len: float, oq_len: float, r: float) -> float
     radius ``r`` centered at ``O``, the image distance is
     ``r**2 * |PQ| / (|OP| * |OQ|)``.
     """
-    for name, value in (("pq", pq), ("op_len", op_len), ("oq_len", oq_len), ("r", r)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{name} must be a positive real")
+    pq, op_len, oq_len, r = (
+        check_real(value, f"{name} must be a positive real", lo=MIN_POSITIVE)
+        for name, value in (("pq", pq), ("op_len", op_len), ("oq_len", oq_len), ("r", r))
+    )
     return r * r * pq / (op_len * oq_len)

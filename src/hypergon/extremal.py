@@ -40,10 +40,6 @@ class Descent:
     success: bool
 
 
-class _CapReached(Exception):
-    """The descent has used its last allowed objective call."""
-
-
 def minimize(fun, x0, *, fatol: float, maxfev: int) -> Descent:
     """Nelder–Mead descent of ``fun`` from ``x0`` (Nelder & Mead, 1965).
 
@@ -77,12 +73,6 @@ def minimize(fun, x0, *, fatol: float, maxfev: int) -> Descent:
     def evaluate(points):  # values of the points, in one call of fun
         return fun(np.array(points).reshape(len(points), n)).tolist() if points else []
 
-    def count():  # one call of the one-at-a-time descent
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _CapReached
-        nfev += 1
-
     def ranked():  # vertices and values, best first
         order = np.array(fsim).argsort().tolist()
         return [sim[i] for i in order], [fsim[i] for i in order]
@@ -106,29 +96,28 @@ def minimize(fun, x0, *, fatol: float, maxfev: int) -> Descent:
         xo = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]  # outside contraction
         xi = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]  # inside contraction
         fxr, fxe, fxo, fxi = evaluate([xr, xe, xo, xi])
-        try:
-            count()
-            if fxr < fsim[0]:
-                count()
+        nfev += 1
+        # a second call the cap denies leaves the simplex as it is
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                nfev += 1
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            nfev += 1
+            if fxr < fsim[-1]:
+                xc, fxc, accept = xo, fxo, fxo <= fxr
             else:
-                count()
-                if fxr < fsim[-1]:
-                    xc, fxc, accept = xo, fxo, fxo <= fxr
-                else:
-                    xc, fxc, accept = xi, fxi, fxi < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:  # shrink toward the best vertex; a cap stops it after moving one more vertex
-                    k = min(n, maxfev - nfev)
-                    moved = min(n, k + 1)
-                    sim[1 : moved + 1] = [[b + sigma * (v - b) for b, v in zip(best, x)] for x in sim[1 : moved + 1]]
-                    fsim[1 : k + 1] = evaluate(sim[1 : k + 1])
-                    nfev += k
-        except _CapReached:
-            pass
+                xc, fxc, accept = xi, fxi, fxi < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex; a cap stops it after moving one more vertex
+                k = min(n, maxfev - nfev)
+                moved = min(n, k + 1)
+                sim[1 : moved + 1] = [[b + sigma * (v - b) for b, v in zip(best, x)] for x in sim[1 : moved + 1]]
+                fsim[1 : k + 1] = evaluate(sim[1 : k + 1])
+                nfev += k
         sim, fsim = ranked()
     return Descent(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev, success=nfev < maxfev)
 

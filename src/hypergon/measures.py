@@ -59,7 +59,10 @@ def side_region_area(alpha):
     # pi (1/2 - alpha), whose subtraction is exact for alpha >= 1/4
     x = np.pi * (0.5 - arr[arr > 0.25])
     cot = 1.0 / np.tan(x)
-    small = np.polynomial.polynomial.polyval(x * x, _ONE_MINUS_X_COT_X)
+    x2 = x * x
+    small = _ONE_MINUS_X_COT_X[-1]
+    for c in _ONE_MINUS_X_COT_X[-2::-1]:  # Horner, in polyval's order
+        small = c + small * x2
     out[np.atleast_1d(arr > 0.25)] = cot * np.where(x < 0.2, small, 1.0 - x * cot)
     return float(out[0]) if arr.ndim == 0 else out
 

@@ -83,9 +83,8 @@ class IdealPolygon:
 
     def __post_init__(self):
         object.__setattr__(self, "angles", tuple(_validate_angles(self.angles).tolist()))
-        if not math.isfinite(self.rotation):
-            raise DomainError("rotation must be finite")
-        object.__setattr__(self, "rotation", wrap_unit(self.rotation))
+        rotation = check_real(self.rotation, "rotation must be a finite real")
+        object.__setattr__(self, "rotation", wrap_unit(rotation))
 
     @property
     def n(self) -> int:
@@ -111,14 +110,14 @@ def vertices(poly: IdealPolygon) -> tuple[CirclePoint, ...]:
 
 def side(poly: IdealPolygon, j: int) -> GeodesicSide:
     """Side ``j`` (1-based), joining vertex ``j`` to vertex ``j + 1``."""
-    if not 1 <= j <= poly.n:
-        raise DomainError(f"side index must be in 1..{poly.n}")
+    j = check_count(j, f"side index must be an integer in 1..{poly.n}", lo=1, hi=poly.n)
     return GeodesicSide(vertex_fractions(poly)[j - 1], poly.angles[j - 1])
 
 
 def _cycle_fractions(vertex_cycle) -> np.ndarray:
-    ts = np.array([p.t if isinstance(p, CirclePoint) else float(p) for p in vertex_cycle])
-    if len(ts) < 3:
+    points = [p.t if isinstance(p, CirclePoint) else p for p in vertex_cycle]
+    ts = check_numbers(points, "a vertex cycle holds circle points or turn fractions")
+    if ts.ndim != 1 or ts.size < 3:
         raise DomainError("a vertex cycle needs at least 3 points")
     gaps = np.diff(np.concatenate([ts, ts[:1]])) % 1.0
     if np.any(gaps <= 0.0) or abs(gaps.sum() - 1.0) > SUM_TOL:
@@ -138,8 +137,7 @@ def reflect_polygon(vertex_cycle, j: int) -> tuple[CirclePoint, ...]:
     """
     ts = _cycle_fractions(vertex_cycle)
     n = len(ts)
-    if not 1 <= j <= n:
-        raise DomainError(f"side index must be in 1..{n}")
+    j = check_count(j, f"side index must be an integer in 1..{n}", lo=1, hi=n)
     a = ts[j - 1]
     e = ts[j % n]
     w = (e - a) % 1.0
@@ -165,8 +163,10 @@ class InvertedAngleMatrix:
     table: np.ndarray = field(repr=False)
 
     def entry(self, j: int, k: int) -> float:
-        if not (1 <= j <= self.n and 1 <= k <= self.n) or j == k:
-            raise DomainError("matrix indices must be distinct and in 1..n")
+        message = "matrix indices must be distinct integers in 1..n"
+        j, k = (check_count(i, message, lo=1, hi=self.n) for i in (j, k))
+        if j == k:
+            raise DomainError(message)
         return float(self.table[j - 1, k - 1])
 
     def row_sums(self) -> np.ndarray:

@@ -292,6 +292,19 @@ def test_cmd_area_rejects_few_cells_before_printing(tmp_path, capsys):
     assert err.startswith("error: ") and "resolution too low" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"angles": [10**400, 0.25, 0.25, 0.25]}, {"angles": [0.25] * 4, "rotation": 10**400}],
+    ids=["angle", "rotation"],
+)
+def test_cmd_area_rejects_a_400_digit_integer_without_a_traceback(tmp_path, doc):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "hypergon", "area", "--in", str(path)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_cmd_area_hyperbolic(tmp_path, capsys):
     src = write_polygon(tmp_path / "d4.json", [0.25] * 4)
     assert main(["area", "--in", str(src), "--hyperbolic", "--cells", "100000"]) == 0

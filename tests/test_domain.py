@@ -1,8 +1,10 @@
-"""One check per kind of input: side counts, angle vectors and the width clamp.
+"""One check per kind of input: counts, scalars, side indices, angle vectors and the width clamp.
 
-Every entry point that takes a count accepts an ``int`` or a numpy integer
-and rejects anything else with ``DomainError``; every entry point that takes
-an angle vector or a side width applies the same clamp and the same sum test.
+Every entry point that takes a count or a side index accepts an ``int`` or a
+numpy integer and rejects anything else with ``DomainError``; every entry
+point that takes a scalar rejects text, bytes, None, bools, non-finite values
+and integers past the largest float; every entry point that takes an angle
+vector or a side width applies the same clamp and the same sum test.
 """
 
 import math
@@ -13,8 +15,11 @@ import pytest
 
 from hypergon import (
     AngleSpectrum,
+    CirclePoint,
     GeodesicSide,
     IdealPolygon,
+    OrthoCircle,
+    PlanePoint,
     SimplexPoint,
     area_upper_bound,
     decreasing_rearrangement,
@@ -23,12 +28,21 @@ from hypergon import (
     grow_body,
     hyperbolic_area_ideal,
     hyperbolic_area_quadrature,
+    inverse_distance,
+    invert_on_circle,
+    inverted_angle_matrix,
     is_regular,
     majorization_scan,
     property_suite,
+    reflect_polygon,
+    refine_minimum,
     sample_simplex,
+    side,
     side_region_area,
+    unit_point,
+    vertices,
 )
+from hypergon.cli import RenderSpec, polygon_from_doc
 from hypergon.disk_geometry import ALPHA_MAX, ALPHA_MIN, SUM_TOL
 from hypergon.errors import DomainError
 from hypergon.polygon import _regular_rows
@@ -55,6 +69,87 @@ COUNT_TAKERS = {
 def test_counts_must_be_integers(name, value):
     with pytest.raises(DomainError):
         COUNT_TAKERS[name](value)
+
+
+SCALAR_TAKERS = {
+    "IdealPolygon.rotation": lambda v: IdealPolygon([0.25] * 4, v),
+    "PlanePoint.x": lambda v: PlanePoint(v, 0.0),
+    "PlanePoint.y": lambda v: PlanePoint(0.0, v),
+    "CirclePoint": lambda v: CirclePoint(v),
+    "GeodesicSide.a": lambda v: GeodesicSide(v, 0.25),
+    "GeodesicSide.alpha": lambda v: GeodesicSide(0.0, v),
+    "OrthoCircle.center_arg": lambda v: OrthoCircle(v, 2.0, 1.0),
+    "OrthoCircle.center_dist": lambda v: OrthoCircle(0.0, v, 1.0),
+    "OrthoCircle.radius": lambda v: OrthoCircle(0.0, 2.0, v),
+    "unit_point": lambda v: unit_point(v),
+    "invert_on_circle": lambda v: invert_on_circle(v, GeodesicSide(0.0, 0.25)),
+    "inverse_distance.pq": lambda v: inverse_distance(v, 1.0, 1.0, 1.0),
+    "inverse_distance.r": lambda v: inverse_distance(1.0, 1.0, 1.0, v),
+    "grid_scan.step": lambda v: grid_scan(4, v),
+    "refine_minimum.tol": lambda v: refine_minimum(SQUARE, v),
+    "RenderSpec.circle_stroke": lambda v: RenderSpec(circle_stroke=v),
+    "RenderSpec.side_stroke": lambda v: RenderSpec(side_stroke=v),
+}
+
+NOT_REALS = ["0.1", b"0.1", None, True, math.nan, math.inf, 10**400]
+NOT_REAL_IDS = ["str", "bytes", "None", "True", "nan", "inf", "10**400"]
+
+
+@pytest.mark.parametrize("value", NOT_REALS, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("name", sorted(SCALAR_TAKERS))
+def test_scalars_must_be_finite_reals(name, value):
+    with pytest.raises(DomainError):
+        SCALAR_TAKERS[name](value)
+
+
+def test_scalars_are_stored_as_floats():
+    assert IdealPolygon([0.25] * 4, Fraction(1, 8)).rotation == 0.125
+    assert type(CirclePoint(np.float32(0.5)).t) is float
+    assert type(GeodesicSide(0, Fraction(1, 4)).alpha) is float
+    spec = RenderSpec(canvas=np.int64(300), circle_stroke=Fraction(1, 100))
+    assert type(spec.canvas) is int and type(spec.circle_stroke) is float
+
+
+INDEX_TAKERS = {
+    "side": lambda j: side(SQUARE, j),
+    "reflect_polygon": lambda j: reflect_polygon(vertices(SQUARE), j),
+    "InvertedAngleMatrix.entry.j": lambda j: inverted_angle_matrix(SQUARE).entry(j, 2),
+    "InvertedAngleMatrix.entry.k": lambda j: inverted_angle_matrix(SQUARE).entry(2, j),
+}
+
+
+@pytest.mark.parametrize("j", [1.5, True, 0, SQUARE.n + 1], ids=["1.5", "True", "0", "n+1"])
+@pytest.mark.parametrize("name", sorted(INDEX_TAKERS))
+def test_side_indices_must_be_integers_in_range(name, j):
+    with pytest.raises(DomainError):
+        INDEX_TAKERS[name](j)
+
+
+def test_side_indices_accept_numpy_integers():
+    assert side(SQUARE, np.int64(3)) == side(SQUARE, 3)
+    assert reflect_polygon(vertices(SQUARE), np.int32(2)) == reflect_polygon(vertices(SQUARE), 2)
+    table = inverted_angle_matrix(SQUARE)
+    assert table.entry(np.int64(1), np.int64(2)) == table.entry(1, 2)
+
+
+VECTOR_TAKERS = {
+    "IdealPolygon": IdealPolygon,
+    "euclidean_area": euclidean_area,
+    "is_regular": is_regular,
+    "side_region_area": side_region_area,
+    "AngleSpectrum": AngleSpectrum,
+    "decreasing_rearrangement": decreasing_rearrangement,
+    "reflect_polygon": lambda v: reflect_polygon(v, 1),
+    "polygon_from_doc": lambda v: polygon_from_doc({"angles": v}),
+}
+
+
+@pytest.mark.parametrize("first", [True, 10**400], ids=["True", "10**400"])
+@pytest.mark.parametrize("name", sorted(VECTOR_TAKERS))
+def test_vectors_reject_bools_and_huge_integers(name, first):
+    # True reads as 1.0, a full turn: a valid cycle point and a valid spectrum head
+    with pytest.raises(DomainError):
+        VECTOR_TAKERS[name]([first, 0.25, 0.5, 0.75] if name == "reflect_polygon" else [first, 0.5, 0.25, 0.25])
 
 
 def test_counts_accept_numpy_integers():
