@@ -49,7 +49,7 @@ for poly, label in [
     (IdealPolygon((0.4, 0.3, 0.2, 0.1)), "skewed 4-gon"),
     (IdealPolygon((0.3, 0.3, 0.397, 0.003)), "narrow-side 4-gon"),
 ]:
-    quad = hyperbolic_area_quadrature(poly, 1_000_000)
+    quad = hyperbolic_area_quadrature(poly)
     ideal = hyperbolic_area_ideal(poly.n)
     print(f"  {label:18s}: {quad:.10f} vs {ideal:.10f} (rel err {abs(quad-ideal)/ideal:.2e})")
 print(f"  pi/4 = {math.pi/4:.10f} for reference")

@@ -159,8 +159,9 @@ class RenderSpec:
         message = "render strokes must be finite decimals > 0"
         for name in ("circle_stroke", "side_stroke"):
             object.__setattr__(self, name, check_real(getattr(self, name), message, lo=MIN_POSITIVE))
-        if not isinstance(self.colors, tuple) or not all(isinstance(c, str) for c in self.colors):
+        if not isinstance(self.colors, (list, tuple)) or not all(isinstance(c, str) for c in self.colors):
             raise DomainError("render colors must be a list of strings")
+        object.__setattr__(self, "colors", tuple(self.colors))
         if not self.colors:
             raise DomainError("need at least one generation color")
 
@@ -172,10 +173,7 @@ def render_spec_from_doc(doc) -> RenderSpec:
     unknown = sorted(set(doc) - {f.name for f in fields(RenderSpec)})
     if unknown:
         raise DomainError(f"unknown render spec key '{unknown[0]}'")
-    kwargs = dict(doc)
-    if isinstance(kwargs.get("colors"), list):
-        kwargs["colors"] = tuple(kwargs["colors"])
-    return RenderSpec(**kwargs)
+    return RenderSpec(**doc)
 
 
 def _cycle_path(verts: tuple[float, ...], widths: list[float], fmt) -> str:
@@ -259,16 +257,16 @@ def _cmd_grow(args) -> int:
 
 
 def _cmd_area(args) -> int:
+    if args.hyperbolic:
+        check_count(args.cells, "resolution too low: need at least 10000 cells", lo=10_000)
     poly = polygon_from_doc(_load_json(args.infile))
     area = euclidean_area(poly.angles)
     bound = area_upper_bound(poly.n)
-    # integrate first, so a rejected cell count prints nothing
-    quad = hyperbolic_area_quadrature(poly, args.cells) if args.hyperbolic else None
     print(f"euclidean_area {area:.12f}")
     print(f"upper_bound {bound:.12f}")
     print(f"slack {bound - area:.12f}")
     if args.hyperbolic:
-        print(f"hyperbolic_area {quad:.12f}")
+        print(f"hyperbolic_area {hyperbolic_area_quadrature(poly):.12f}")
         print(f"hyperbolic_ideal {hyperbolic_area_ideal(poly.n):.12f}")
     return EXIT_OK
 
@@ -415,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cells",
         type=int,
         default=1_000_000,
-        help="checked (at least 10000) but unused: the quadrature is a fixed 111-node rule per side",
+        help="kept for old scripts: with --hyperbolic it must be at least 10000, and it changes nothing",
     )
     p.set_defaults(func=_cmd_area)
 

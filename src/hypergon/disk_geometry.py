@@ -99,9 +99,6 @@ class CirclePoint:
         """Identity up to the point tolerance, after modular reduction."""
         return frac_distance(self.t, other.t) < tol
 
-    def to_plane(self) -> PlanePoint:
-        return unit_point(self.t)
-
 
 @dataclass(frozen=True)
 class GeodesicSide:

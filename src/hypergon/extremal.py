@@ -224,8 +224,10 @@ def sample_simplex(
     """
     n = check_count(n, "need an integer n >= 3", lo=3)
     count = check_count(count, "need a non-negative integer count", lo=0)
-    if not ALPHA_MIN <= floor < 1.0 / n:
-        raise DomainError("floor must be at least the clamp and below 1/n")
+    message = "floor must be at least the clamp and below 1/n"
+    floor = check_real(floor, message, lo=ALPHA_MIN)
+    if floor >= 1.0 / n:
+        raise DomainError(message)
     out = np.empty((count, n))
     have = 0
     while have < count:
@@ -296,26 +298,25 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     with open(dump_path, "w") if dump_path else nullcontext() as dump:
         if dump:
             dump.write(",".join(f"alpha_{i + 1}" for i in range(n)) + ",objective\n")
-        for rows in _lattice_rows(n, total, m_max):
-            vals = _objective_batch(rows / total)
+        for points in _lattice_rows(n, total, m_max):
+            points /= total  # each block is a fresh array: divide it in place
+            vals = _objective_batch(points)
             count += len(vals)
             if dump:
-                for r, v in zip(rows, vals):
-                    cols = ",".join(repr(float(x) / total) for x in r)
-                    dump.write(f"{cols},{float(v)!r}\n")
+                dump.writelines(",".join(map(repr, r)) + "\n" for r in np.column_stack([points, vals]).tolist())
             # the first minimizer in lattice order wins ties
             for idx in np.argsort(vals, kind="stable")[:2]:
                 v = float(vals[idx])
                 if v < best_val:
                     second_val = best_val
                     best_val = v
-                    best_row = rows[idx]
+                    best_row = points[idx]
                 elif v < second_val:
                     second_val = v
 
     if best_row is None:
         raise DomainError("lattice is empty for the given step")
-    best_point = tuple(float(m / total) for m in best_row)
+    best_point = tuple(best_row.tolist())
     violations = _violations(
         "lattice objective >= regular objective",
         [0] if best_val < regular_value - FINDING_SLACK else [],
@@ -384,14 +385,13 @@ def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygo
         converged = bool(res.success)
         if converged and improved < tol:
             break
+    point = _point_from_reduced(best_y)
     if not converged:
-        point = _point_from_reduced(best_y)
         raise ConvergenceError(
             "simplex descent hit its iteration cap",
             best_point=point,
             best_value=best_val,
         )
-    point = _point_from_reduced(best_y)
     return point, float(minimax_objective(point))
 
 
@@ -724,7 +724,7 @@ def property_suite(name: str, samples: int = 10_000, seed: int = 0) -> ScanRepor
     range and ignore ``samples``.  Suites named after conjectures
     (``conj*``) are marked as evidence in the report.
     """
-    if name not in _SUITES:
+    if not isinstance(name, str) or name not in _SUITES:
         raise UnknownSuiteError(f"unknown suite '{name}'; known: {', '.join(suite_names())}")
     samples = check_count(samples, "need at least one sample", lo=1)
     seed = check_count(seed, SEED_MESSAGE, lo=0)

@@ -599,6 +599,12 @@ def test_render_spec_validation():
         RenderSpec(canvas=0)
 
 
+def test_render_spec_takes_a_list_of_colors():
+    assert RenderSpec(colors=["#000000", "#ffffff"]).colors == ("#000000", "#ffffff")
+    with pytest.raises(DomainError, match="colors must be a list of strings"):
+        RenderSpec(colors=["#000000", 0])
+
+
 @pytest.mark.parametrize(
     "spec,message",
     [

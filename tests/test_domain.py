@@ -27,7 +27,6 @@ from hypergon import (
     grid_scan,
     grow_body,
     hyperbolic_area_ideal,
-    hyperbolic_area_quadrature,
     inverse_distance,
     invert_on_circle,
     inverted_angle_matrix,
@@ -42,9 +41,9 @@ from hypergon import (
     unit_point,
     vertices,
 )
-from hypergon.cli import RenderSpec, polygon_from_doc
+from hypergon.cli import RenderSpec, main, polygon_from_doc
 from hypergon.disk_geometry import ALPHA_MAX, ALPHA_MIN, SUM_TOL
-from hypergon.errors import DomainError
+from hypergon.errors import DomainError, UnknownSuiteError
 from hypergon.polygon import _regular_rows
 
 SQUARE = IdealPolygon.regular(4)
@@ -58,7 +57,6 @@ COUNT_TAKERS = {
     "grid_scan": lambda v: grid_scan(v, 1.0 / 100.0),
     "majorization_scan": lambda v: majorization_scan(4, v),
     "property_suite": lambda v: property_suite("lemma32ii", v),
-    "hyperbolic_area_quadrature": lambda v: hyperbolic_area_quadrature(SQUARE, v),
     "grow_body.s": lambda v: grow_body(SQUARE, v),
     "grow_body.max_sides": lambda v: grow_body(SQUARE, 2, max_sides=v),
 }
@@ -69,6 +67,15 @@ COUNT_TAKERS = {
 def test_counts_must_be_integers(name, value):
     with pytest.raises(DomainError):
         COUNT_TAKERS[name](value)
+
+
+@pytest.mark.parametrize("value", ["2.5", "nan", "True"])
+def test_cli_cells_must_be_an_integer(tmp_path, capsys, value):
+    path = tmp_path / "p.json"
+    path.write_text('{"angles": [0.25, 0.25, 0.25, 0.25]}')
+    assert main(["area", "--in", str(path), "--hyperbolic", "--cells", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 SCALAR_TAKERS = {
@@ -86,6 +93,7 @@ SCALAR_TAKERS = {
     "inverse_distance.pq": lambda v: inverse_distance(v, 1.0, 1.0, 1.0),
     "inverse_distance.r": lambda v: inverse_distance(1.0, 1.0, 1.0, v),
     "grid_scan.step": lambda v: grid_scan(4, v),
+    "sample_simplex.floor": lambda v: sample_simplex(3, 2, np.random.default_rng(0), floor=v),
     "refine_minimum.tol": lambda v: refine_minimum(SQUARE, v),
     "RenderSpec.circle_stroke": lambda v: RenderSpec(circle_stroke=v),
     "RenderSpec.side_stroke": lambda v: RenderSpec(side_stroke=v),
@@ -191,7 +199,8 @@ def test_clamp_ends_agree_across_entry_points():
         for check in (IdealPolygon, euclidean_area):
             with pytest.raises(DomainError, match=r"alpha must be in \(0, 0.5\)"):
                 check(angles)
-    for alpha in (below, above):
+    # a non-finite width fails the same clamp test
+    for alpha in (below, above, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match=r"alpha must be in \(0, 0.5\)"):
             GeodesicSide(0.0, alpha)
         with pytest.raises(DomainError, match=r"alpha must be in \(0, 0.5\)"):
@@ -256,6 +265,17 @@ def test_side_region_area_rejects_text(values):
 def test_spectra_reject_text(build, values):
     with pytest.raises(DomainError, match="spectrum values must be numbers"):
         build(values)
+
+
+def test_side_region_area_names_empty_input():
+    with pytest.raises(DomainError, match="alpha must not be empty"):
+        side_region_area([])
+
+
+@pytest.mark.parametrize("name", [["lemma31"], {"lemma31": 1}], ids=["list", "dict"])
+def test_unhashable_suite_names_are_unknown_suites(name):
+    with pytest.raises(UnknownSuiteError):
+        property_suite(name, 10)
 
 
 def test_area_and_spectra_take_numbers_of_any_kind():

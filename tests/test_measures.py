@@ -192,22 +192,14 @@ def test_hyperbolic_area_ideal_rejects_small_n():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_hyperbolic_quadrature_regular(n):
-    got = hyperbolic_area_quadrature(IdealPolygon.regular(n), 1_000_000)
+    got = hyperbolic_area_quadrature(IdealPolygon.regular(n))
     assert got == pytest.approx(hyperbolic_area_ideal(n), rel=0.01)
 
 
 def test_hyperbolic_quadrature_angle_independent(rng):
     angles = random_angle_vectors(rng, 4, 1, floor=0.05)[0]
-    got = hyperbolic_area_quadrature(IdealPolygon(tuple(angles)), 1_000_000)
+    got = hyperbolic_area_quadrature(IdealPolygon(tuple(angles)))
     assert got == pytest.approx(math.pi / 2, rel=0.01)
-
-
-def test_hyperbolic_quadrature_converges_with_cells():
-    p = IdealPolygon.regular(3)
-    coarse = hyperbolic_area_quadrature(p, 10_000)
-    fine = hyperbolic_area_quadrature(p, 1_000_000)
-    assert coarse == pytest.approx(math.pi / 4, rel=0.01)
-    assert abs(fine - math.pi / 4) <= abs(coarse - math.pi / 4) + 1e-9
 
 
 @pytest.mark.parametrize(
@@ -218,8 +210,7 @@ def test_hyperbolic_quadrature_converges_with_cells():
         pytest.param((0.2, 0.3, 0.15, 0.35), 4, id="distinct"),
     ],
 )
-@pytest.mark.parametrize("cells", [10_000, 200_000])
-def test_hyperbolic_quadrature_integrates_equal_sides_once(monkeypatch, angles, distinct, cells):
+def test_hyperbolic_quadrature_integrates_equal_sides_once(monkeypatch, angles, distinct):
     poly = IdealPolygon(angles)
     expected = 0.0
     for w in poly.angles:
@@ -228,7 +219,7 @@ def test_hyperbolic_quadrature_integrates_equal_sides_once(monkeypatch, angles, 
     integrated = []
     side_area = measures._side_area
     monkeypatch.setattr(measures, "_side_area", lambda w: integrated.append(w) or side_area(w))
-    got = hyperbolic_area_quadrature(poly, cells)
+    got = hyperbolic_area_quadrature(poly)
     assert got == expected
     assert len(integrated) == len(set(integrated)) == distinct
 
@@ -264,11 +255,6 @@ def test_hyperbolic_quadrature_holds_on_random_and_extreme_polygons(rng):
         for poly in polygons:
             ideal = hyperbolic_area_ideal(poly.n)
             assert abs(hyperbolic_area_quadrature(poly) - ideal) <= 1e-15 * ideal, poly.angles
-
-
-def test_hyperbolic_quadrature_rejects_low_resolution():
-    with pytest.raises(DomainError):
-        hyperbolic_area_quadrature(IdealPolygon.regular(3), 9_999)
 
 
 # --- spectra and majorization ---------------------------------------------------
