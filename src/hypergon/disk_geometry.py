@@ -64,6 +64,7 @@ def wrap_signed(t: float) -> float:
 
 def frac_distance(t1: float, t2: float) -> float:
     """Circular distance between two turn fractions, in [0, 1/2]."""
+    t1, t2 = (check_real(t, "turn fractions must be finite reals") for t in (t1, t2))
     return abs(wrap_signed(t1 - t2))
 
 
@@ -97,6 +98,7 @@ class CirclePoint:
 
     def approx_eq(self, other: "CirclePoint", tol: float = POINT_TOL) -> bool:
         """Identity up to the point tolerance, after modular reduction."""
+        tol = check_real(tol, "tolerance must be a finite real >= 0", lo=0.0)
         return frac_distance(self.t, other.t) < tol
 
 
@@ -158,6 +160,7 @@ class OrthoCircle:
 
     def is_orthogonal(self, tol: float = 1e-12) -> bool:
         """Whether the circle meets the unit circle at right angles."""
+        tol = check_real(tol, "tolerance must be a finite real >= 0", lo=0.0)
         lhs = self.center_dist * self.center_dist
         rhs = 1.0 + self.radius * self.radius
         return abs(lhs - rhs) <= tol * rhs

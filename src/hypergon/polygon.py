@@ -22,6 +22,7 @@ batched step and splices the boundary in creation order, without a sort.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -114,17 +115,6 @@ def side(poly: IdealPolygon, j: int) -> GeodesicSide:
     return GeodesicSide(vertex_fractions(poly)[j - 1], poly.angles[j - 1])
 
 
-def _cycle_fractions(vertex_cycle) -> np.ndarray:
-    points = [p.t if isinstance(p, CirclePoint) else p for p in vertex_cycle]
-    ts = check_numbers(points, "a vertex cycle holds circle points or turn fractions")
-    if ts.ndim != 1 or ts.size < 3:
-        raise DomainError("a vertex cycle needs at least 3 points")
-    gaps = np.diff(np.concatenate([ts, ts[:1]])) % 1.0
-    if np.any(gaps <= 0.0) or abs(gaps.sum() - 1.0) > SUM_TOL:
-        raise DomainError("vertex cycle must be strictly ordered in the positive direction")
-    return ts
-
-
 def reflect_polygon(vertex_cycle, j: int) -> tuple[CirclePoint, ...]:
     """Reflect a vertex cycle across its side ``j`` (1-based).
 
@@ -135,7 +125,16 @@ def reflect_polygon(vertex_cycle, j: int) -> tuple[CirclePoint, ...]:
     the long way around (as for the closing side of a previously reflected
     cycle), the same geodesic is used via the complementary arc.
     """
-    ts = _cycle_fractions(vertex_cycle)
+    message = "a vertex cycle holds circle points or turn fractions"
+    if not isinstance(vertex_cycle, (Sequence, np.ndarray)):
+        raise DomainError(message)
+    points = [p.t if isinstance(p, CirclePoint) else p for p in vertex_cycle]
+    ts = check_numbers(points, message)
+    if ts.ndim != 1 or ts.size < 3:
+        raise DomainError("a vertex cycle needs at least 3 points")
+    gaps = np.diff(np.concatenate([ts, ts[:1]])) % 1.0
+    if np.any(gaps <= 0.0) or abs(gaps.sum() - 1.0) > SUM_TOL:
+        raise DomainError("vertex cycle must be strictly ordered in the positive direction")
     n = len(ts)
     j = check_count(j, f"side index must be an integer in 1..{n}", lo=1, hi=n)
     a = ts[j - 1]
@@ -385,11 +384,9 @@ def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) ->
     s = check_count(s, "generation count must be a non-negative integer", lo=0)
     max_sides = check_count(max_sides, "side cap must be a positive integer", lo=1)
     n = poly.n
-    projected = n * (n - 1) ** s
-    if projected > max_sides:
-        raise DepthLimitError(
-            f"projected boundary side count {projected} exceeds cap {max_sides}"
-        )
+    # n - 1 >= 2: past the cap's bit length, any exponent is over the cap
+    if n * (n - 1) ** min(s, max_sides.bit_length()) > max_sides:
+        raise DepthLimitError(f"projected boundary side count {n}*{n - 1}^{s} exceeds cap {max_sides}")
     gaps = [cells[0] for cells in _grow(np.asarray(poly.angles, dtype=float)[None, :], s)]
     arcs = (gaps[-1] if s == 0 else gaps[-1][:, :-1]).reshape(-1)
     # the arcs start at the seed's first vertex; move the first vertex past

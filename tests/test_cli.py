@@ -23,7 +23,7 @@ from hypergon.cli import (
     render_svg,
 )
 from hypergon.errors import ConvergenceError, DomainError
-from hypergon.extremal import property_suite, sample_simplex, suite_names
+from hypergon.extremal import FINDING_SLACK, minimax_objective, property_suite, sample_simplex, suite_names
 from hypergon.measures import euclidean_area
 from hypergon.polygon import Body, IdealPolygon, grow_body
 
@@ -58,6 +58,7 @@ def test_polygon_document_round_trip(rng):
         ({"n": 3, "angles": [True, 0.5, 0.25]}, "array of decimals"),
         ({"n": 4, "angles": [0.25] * 4, "rotation": True}, "rotation must be a decimal"),
         ({"n": True, "angles": [0.25] * 4}, "n must be an integer"),
+        ({"n": 3}, "must carry an 'angles' array"),
     ],
 )
 def test_polygon_document_diagnostics(doc, message):
@@ -222,13 +223,32 @@ def test_cmd_grow_depth_cap_env(tmp_path, monkeypatch):
     assert main(["grow", "--in", str(src), "--generations", "2", "--out", str(out)]) == 1
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("cap", ["0", "-1", "abc"])
 def test_cmd_grow_rejects_non_positive_cap(tmp_path, monkeypatch, capsys, cap):
     monkeypatch.setenv("HYPERGON_MAX_SIDES", cap)
     src = write_polygon(tmp_path / "d4.json", [0.25] * 4)
     out = tmp_path / "body.json"
     assert main(["grow", "--in", str(src), "--generations", "1", "--out", str(out)]) == 1
     assert "HYPERGON_MAX_SIDES must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["grow", "render"])
+def test_deep_growth_is_refused_without_a_traceback(tmp_path, command):
+    # 3*2^20000 has 6,022 digits, past the default limit of int-to-text conversion
+    if command == "grow":
+        src = write_polygon(tmp_path / "d3.json", [1 / 3] * 3)
+    else:
+        doc = body_to_doc(grow_body(IdealPolygon.regular(3), 1))
+        doc["generations"] = 20_000
+        src = tmp_path / "b.json"
+        src.write_text(json.dumps(doc))
+    argv = [command, "--in", str(src), "--out", str(tmp_path / "out")]
+    if command == "grow":
+        argv += ["--generations", "20000"]
+    proc = subprocess.run([sys.executable, "-m", "hypergon", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: projected boundary side count 3*2^20000 exceeds cap 1000000\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_grow_missing_input_is_io_error(tmp_path, capsys):
@@ -334,6 +354,22 @@ def test_cmd_extremal_small_grid(capsys):
 def test_cmd_extremal_coarse_grid_rejected(capsys):
     assert main(["extremal", "--n", "4", "--grid", "1/3"]) == 1
     assert "too coarse" in capsys.readouterr().err
+
+
+def test_cmd_extremal_unparsable_grid_rejected(capsys):
+    assert main(["extremal", "--n", "4", "--grid", "1/x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "cannot parse grid step '1/x'" in err
+
+
+@pytest.mark.parametrize("below, code", [(2 * FINDING_SLACK, 2), (FINDING_SLACK / 2, 0)], ids=["finding", "within-slack"])
+def test_cmd_extremal_refined_value_below_regular_is_a_finding(monkeypatch, capsys, below, code):
+    regular = minimax_objective(IdealPolygon.regular(3))
+    monkeypatch.setattr(hypergon.cli, "refine_minimum", lambda start, tol: (start, regular - below))
+    assert main(["extremal", "--n", "3", "--grid", "1/100", "--refine", "--starts", "1"]) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["refine"]["best_refined_value"] == regular - below
 
 
 @pytest.mark.parametrize("step", ["0", "-1/100"])
@@ -614,6 +650,8 @@ def test_render_spec_takes_a_list_of_colors():
         ({"colors": "#000000"}, "colors must be a list of strings"),
         ({"colors": [0]}, "colors must be a list of strings"),
         ({"canvs": 900}, "unknown render spec key 'canvs'"),
+        ([], "render spec must be a JSON object"),
+        ({"colors": []}, "need at least one generation color"),
     ],
 )
 def test_cmd_render_rejects_bad_spec_types(tmp_path, capsys, spec, message):

@@ -24,6 +24,7 @@ from hypergon import (
     area_upper_bound,
     decreasing_rearrangement,
     euclidean_area,
+    frac_distance,
     grid_scan,
     grow_body,
     hyperbolic_area_ideal,
@@ -83,11 +84,15 @@ SCALAR_TAKERS = {
     "PlanePoint.x": lambda v: PlanePoint(v, 0.0),
     "PlanePoint.y": lambda v: PlanePoint(0.0, v),
     "CirclePoint": lambda v: CirclePoint(v),
+    "CirclePoint.approx_eq.tol": lambda v: CirclePoint(0.0).approx_eq(CirclePoint(0.5), v),
+    "frac_distance.t1": lambda v: frac_distance(v, 0.2),
+    "frac_distance.t2": lambda v: frac_distance(0.2, v),
     "GeodesicSide.a": lambda v: GeodesicSide(v, 0.25),
     "GeodesicSide.alpha": lambda v: GeodesicSide(0.0, v),
     "OrthoCircle.center_arg": lambda v: OrthoCircle(v, 2.0, 1.0),
     "OrthoCircle.center_dist": lambda v: OrthoCircle(0.0, v, 1.0),
     "OrthoCircle.radius": lambda v: OrthoCircle(0.0, 2.0, v),
+    "OrthoCircle.is_orthogonal.tol": lambda v: OrthoCircle(0.0, 2.0, 1.0).is_orthogonal(v),
     "unit_point": lambda v: unit_point(v),
     "invert_on_circle": lambda v: invert_on_circle(v, GeodesicSide(0.0, 0.25)),
     "inverse_distance.pq": lambda v: inverse_distance(v, 1.0, 1.0, 1.0),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hypergon import extremal
-from hypergon.errors import DomainError, UnknownSuiteError
+from hypergon.errors import ConvergenceError, DomainError, UnknownSuiteError
 from hypergon.extremal import (
     ALPHA_MIN,
     SimplexPoint,
@@ -225,6 +225,17 @@ def test_refine_improves_on_best_grid_point():
     point, value = refine_minimum(SimplexPoint(report.best_point), 1e-10)
     assert value <= report.best_value + 1e-12
     assert max(abs(a - 0.25) for a in point.angles) < 1e-5
+
+
+def test_refine_at_its_cap_raises_with_the_best_point(monkeypatch):
+    monkeypatch.setattr(extremal, "_REFINE_MAX_ITER", 5)
+    start = SimplexPoint((0.3, 0.2, 0.3, 0.2))
+    with pytest.raises(ConvergenceError, match="iteration cap") as info:
+        refine_minimum(start, 1e-10)
+    best = info.value.best_point
+    assert isinstance(best, IdealPolygon) and best.n == 4
+    assert math.isfinite(info.value.best_value)
+    assert info.value.best_value <= minimax_objective(start)
 
 
 def test_refine_rejects_tiny_tolerance():

@@ -121,6 +121,16 @@ def test_reflect_twice_recovers_cycle(rng):
         assert np.all(circular_gap(orig, again) < 1e-12)
 
 
+@pytest.mark.parametrize(
+    "cycle",
+    [0.5, None, CirclePoint(0.1), (0.0, 0.5), (0.0, 0.5, 0.25)],
+    ids=["float", "None", "CirclePoint", "two-points", "unordered"],
+)
+def test_reflect_rejects_a_malformed_cycle(cycle):
+    with pytest.raises(DomainError, match="vertex cycle"):
+        reflect_polygon(cycle, 1)
+
+
 def test_reflect_images_stay_inside_side_arc(rng):
     angles = random_angle_vectors(rng, 5, 1, floor=0.05)[0]
     poly = IdealPolygon(tuple(angles))
@@ -375,6 +385,13 @@ def test_grow_is_deterministic():
 def test_grow_depth_cap():
     with pytest.raises(DepthLimitError):
         grow_body(IdealPolygon.regular(4), 3, max_sides=100)
+    # 4 * 3**3 = 108 sides: the cap is inclusive
+    assert grow_body(IdealPolygon.regular(4), 3, max_sides=108).boundary_angles.size == 108
+    with pytest.raises(DepthLimitError, match=r"count 4\*3\^3 exceeds cap 107"):
+        grow_body(IdealPolygon.regular(4), 3, max_sides=107)
+    # refused without building a 1.6-billion-bit count
+    with pytest.raises(DepthLimitError, match=r"count 4\*3\^1000000000 exceeds"):
+        grow_body(IdealPolygon.regular(4), 10**9)
 
 
 def test_grow_arc_underflow_guard():
