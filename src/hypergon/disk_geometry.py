@@ -98,6 +98,8 @@ class CirclePoint:
 
     def approx_eq(self, other: "CirclePoint", tol: float = POINT_TOL) -> bool:
         """Identity up to the point tolerance, after modular reduction."""
+        if not isinstance(other, CirclePoint):
+            raise DomainError("can only compare with a CirclePoint")
         tol = check_real(tol, "tolerance must be a finite real >= 0", lo=0.0)
         return frac_distance(self.t, other.t) < tol
 

@@ -204,6 +204,8 @@ def majorizes(x: AngleSpectrum, y: AngleSpectrum) -> bool:
     Requires equal lengths and equal totals (within ``TOTAL_TOL``); prefix
     sums are compared with ``MAJORIZATION_SLACK`` so exact ties pass.
     """
+    if not (isinstance(x, AngleSpectrum) and isinstance(y, AngleSpectrum)):
+        raise DomainError("majorization compares two AngleSpectrum values")
     if len(x) != len(y):
         raise DomainError("spectra must have equal length")
     if abs(x.total - y.total) > TOTAL_TOL:

@@ -37,6 +37,35 @@ def random_angle_vectors(rng: np.random.Generator, n: int, count: int, floor: fl
     return np.asarray(out)
 
 
+def replay_table(mpmath, angles):
+    """Inverted-angle table replayed at 40 digits from the widths as given.
+
+    Widths may be floats or mpmath numbers, each taken exactly.  A vertex at offset ``delta`` from the reflecting side's start maps to
+    ``x`` with ``cot(pi x) = 2 cot(pi w) - cot(pi delta)``.  Each source
+    side's first vertex is summed from the nearer end of the reflecting
+    side and its second one lies the side's own width further on, so a row
+    that sums to 1 only in double precision still replays every width.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    a = [mp.mpf(x) for x in angles]
+    n = len(a)
+
+    def image(w, delta):
+        if delta == 1:
+            return mp.mpf(0)
+        return mp.atan2(1, 2 * mp.cot(mp.pi * w) - mp.cot(mp.pi * delta)) / mp.pi
+
+    table = {}
+    for j in range(n):
+        r = [a[(j + i) % n] for i in range(n)]
+        for k in range(1, n):
+            from_end, from_start = sum(r[:k]), sum(r[k:])
+            delta = from_end if from_end <= from_start else 1 - from_start
+            table[j, (j + k) % n] = image(r[0], delta) - image(r[0], delta + r[k])
+    return table
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -105,7 +105,7 @@ def test_criterion_3_minimax_grid_and_refinement():
     """Grid 1/200 isolates the regular 4-gon; seeded multi-start descent.
 
     The multi-start clause fails: descent is local and the objective has a
-    second basin (local minimum ~0.1074124 at the opposite-equal family).
+    second basin (local minimum 0.10741190 at the opposite-equal family).
     """
     t0 = time.perf_counter()
     report = grid_scan(4, 1.0 / 200.0)

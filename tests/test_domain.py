@@ -33,6 +33,7 @@ from hypergon import (
     inverted_angle_matrix,
     is_regular,
     majorization_scan,
+    majorizes,
     property_suite,
     reflect_polygon,
     refine_minimum,
@@ -270,6 +271,20 @@ def test_side_region_area_rejects_text(values):
 def test_spectra_reject_text(build, values):
     with pytest.raises(DomainError, match="spectrum values must be numbers"):
         build(values)
+
+
+OPERAND_TAKERS = {
+    "CirclePoint.approx_eq.float": lambda: CirclePoint(0.1).approx_eq(0.1),
+    "CirclePoint.approx_eq.None": lambda: CirclePoint(0.1).approx_eq(None),
+    "majorizes.lists": lambda: majorizes([0.5, 0.3, 0.2], [0.4, 0.4, 0.2]),
+    "majorizes.list": lambda: majorizes(decreasing_rearrangement([0.5, 0.3, 0.2]), [0.4, 0.4, 0.2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERAND_TAKERS))
+def test_operands_must_have_the_right_type(name):
+    with pytest.raises(DomainError):
+        OPERAND_TAKERS[name]()
 
 
 def test_side_region_area_names_empty_input():

@@ -28,6 +28,8 @@ from hypergon.measures import euclidean_area, side_region_area
 from hypergon.polygon import REGULARITY_TOL, IdealPolygon, _block_rows, _regular_rows, angle_tables, grow_body
 from hypergon.polygon import inverted_angle_matrix, is_regular
 
+from conftest import replay_table
+
 M_STAR = 0.25 - math.atan(0.5) / math.pi  # objective at the regular 4-gon
 
 # second, non-global local minimum of the objective on the 4-gon simplex
@@ -431,6 +433,57 @@ def test_refine_finds_second_basin():
     assert max(abs(a - b) for a, b in zip(point.angles, LOCAL_MIN_POINT)) < 1e-5
     assert value == pytest.approx(LOCAL_MIN_VALUE, abs=1e-8)
     assert value > M_STAR + 4e-3
+
+
+@pytest.mark.parametrize(
+    "n,a_star,f_star,regular,ties",
+    [
+        (4, 0.177764312562, 0.1074118958126, 0.10241638234957, 6),
+        (6, 0.0903842367393, 0.0570744288089, 0.0605188591618, 12),
+        (8, 0.0616370815221, 0.0392182148531, 0.0436732966935, 16),
+    ],
+    ids=["n4", "n6", "n8"],
+)
+def test_alternating_family_minimum_at_40_digits(n, a_star, f_star, regular, ties):
+    # f(a) is the objective at (a, 2/n - a) repeated n/2 times; f is unimodal
+    # on [0.4/n, 0.76/n], so golden-section search finds its kink minimum.
+    # At n = 4 that is the second basin, above the regular value; at n = 6
+    # and 8 it beats the regular polygon, so the regular n-gon is not the
+    # minimizer there; 2n entries tie at those minimizers, six at n = 4
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+
+    def table(a):
+        return replay_table(mpmath, [a, mp.mpf(2) / n - a] * (n // 2)).values()
+
+    def f(a):
+        return max(table(a))
+
+    lo, hi = mp.mpf(0.4) / n, mp.mpf(0.76) / n
+    g = (mp.sqrt(5) - 1) / 2
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-13:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = f(x2)
+    a = (lo + hi) / 2
+    value = f(a)
+    assert abs(a - a_star) < 1e-9
+    assert abs(value - f_star) < 1e-12 * f_star
+    assert sum(value - e < 1e-9 for e in table(a)) == ties
+    point = IdealPolygon([float(a), float(mp.mpf(2) / n - a)] * (n // 2))
+    assert abs(minimax_objective(point) - value) < 1e-12 * value
+    if n == 4:
+        assert value > regular
+    else:
+        assert value < regular - 3e-3
 
 
 def test_refine_returns_a_valid_polygon_from_a_vanishing_side():

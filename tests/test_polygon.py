@@ -28,7 +28,7 @@ from hypergon.polygon import (
     vertices,
 )
 
-from conftest import circular_gap, random_angle_vectors
+from conftest import circular_gap, random_angle_vectors, replay_table
 
 # frozen via the Euclidean oracle: reflecting the regular 4-gon across its
 # first side sends the two far vertices to these fractions
@@ -219,35 +219,6 @@ def test_inverted_angle_matrix_matches_side_by_side_loop_bit_for_bit(rng):
             assert np.nanmax(np.abs(got - want)) < 1e-14
 
 
-def _replay_table(mpmath, angles):
-    """Inverted-angle table replayed at 40 digits from the widths as given.
-
-    A vertex at offset ``delta`` from the reflecting side's start maps to
-    ``x`` with ``cot(pi x) = 2 cot(pi w) - cot(pi delta)``.  Each source
-    side's first vertex is summed from the nearer end of the reflecting
-    side and its second one lies the side's own width further on, so a row
-    that sums to 1 only in double precision still replays every width.
-    """
-    mp = mpmath.mp.clone()
-    mp.dps = 40
-    a = [mp.mpf(float(x)) for x in angles]
-    n = len(a)
-
-    def image(w, delta):
-        if delta == 1:
-            return mp.mpf(0)
-        return mp.atan2(1, 2 * mp.cot(mp.pi * w) - mp.cot(mp.pi * delta)) / mp.pi
-
-    table = {}
-    for j in range(n):
-        r = [a[(j + i) % n] for i in range(n)]
-        for k in range(1, n):
-            from_end, from_start = sum(r[:k]), sum(r[k:])
-            delta = from_end if from_end <= from_start else 1 - from_start
-            table[j, (j + k) % n] = image(r[0], delta) - image(r[0], delta + r[k])
-    return table
-
-
 @pytest.mark.parametrize("n", range(3, 9))
 def test_angle_tables_hold_relative_precision(n):
     mpmath = pytest.importorskip("mpmath")
@@ -258,7 +229,7 @@ def test_angle_tables_hold_relative_precision(n):
         rows.append(np.array([0.4999999, 0.25, 0.15, 0.1000001]))
     for row in rows:
         got = angle_tables(row)[0]
-        exact = _replay_table(mpmath, row)
+        exact = replay_table(mpmath, row)
         worst = max(abs(float((mpmath.mpf(float(got[jk])) - e) / e)) for jk, e in exact.items())
         assert worst < 1e-13
 

@@ -11,9 +11,10 @@ another checkout.  The commands are the ``extremal`` scan with and without
 ``grow`` and ``area`` of the regular octagon, a seed with exactly equal
 sides, ``area --hyperbolic`` of a 4-gon with a side of 0.003, next to a
 cusp, and a library ``refine_minimum`` of three draws at each side count
-from 3 to 8 and of one start that takes the penalty.  For each command it
-prints one line: its label, exit code, the SHA-256 of its stdout and the
-SHA-256 of each file it wrote.  Two runs of the same checkout must print
+from 3 to 8 and of one start that takes the penalty; last, ``invert`` of
+one point in a quarter-turn side.  For each command it prints one line:
+its label, exit code, the SHA-256 of its stdout and the SHA-256 of each
+file it wrote.  Two runs of the same checkout must print
 the same listing, and a change that keeps every result must print the
 listing of its parent.
 """
@@ -100,6 +101,7 @@ COMMANDS = [
     ("area-oct", ["-m", "hypergon", "area", "--in", "oct.json", "--hyperbolic", "--cells", "200000"], []),
     ("area-narrow", ["-m", "hypergon", "area", "--in", "narrow.json", "--hyperbolic"], []),
     ("refine-n3-8", ["-c", REFINE], []),
+    ("invert-quarter", ["-m", "hypergon", "invert", "--side", "0,0.25", "--beta", "0.5"], []),
 ]
 
 
