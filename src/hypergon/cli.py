@@ -161,6 +161,9 @@ class RenderSpec:
             object.__setattr__(self, name, check_real(getattr(self, name), message, lo=MIN_POSITIVE))
         if not isinstance(self.colors, (list, tuple)) or not all(isinstance(c, str) for c in self.colors):
             raise DomainError("render colors must be a list of strings")
+        color = r"#([0-9a-fA-F]{3,4}|[0-9a-fA-F]{6}|[0-9a-fA-F]{8})|[A-Za-z]+"  # nothing an SVG attribute must escape
+        if not all(re.fullmatch(color, c) for c in self.colors):
+            raise DomainError("render colors must be '#' and 3, 4, 6 or 8 hex digits, or a name of letters")
         object.__setattr__(self, "colors", tuple(self.colors))
         if not self.colors:
             raise DomainError("need at least one generation color")

@@ -26,7 +26,7 @@ from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, check_real, invert
 from .errors import ConvergenceError, DomainError, UnknownSuiteError
 from .measures import MAJORIZATION_SLACK, _prefix_margins, _sorted_spectra, area_upper_bound
 from .measures import euclidean_area, side_region_area
-from .polygon import IdealPolygon, _check_rows, _grow, _image_blocks, _regular_rows
+from .polygon import IdealPolygon, _grow, _image_blocks, _regular_rows
 from .polygon import angle_tables, grow_body, is_regular
 
 
@@ -602,7 +602,6 @@ def _suite_nonregular_stays(samples: int, rng: np.random.Generator):
     """
     violations = []
     for _, cases, rows in _mixed_rows(samples, rng, 3, floor=0.05):
-        _check_rows(rows)
         skipped = _regular_rows(rows)
         gaps = _grow(rows, 2)
         # entry [i, s - 1]: the body of row i at s is regular

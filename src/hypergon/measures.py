@@ -193,8 +193,6 @@ def _prefix_margins(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def decreasing_rearrangement(values) -> AngleSpectrum:
     """Sort a vector into a decreasing spectrum."""
     arr = check_numbers(values, "spectrum values must be numbers").ravel()
-    if arr.size == 0:
-        raise DomainError("cannot rearrange an empty vector")
     return AngleSpectrum(_sorted_spectra(arr))
 
 
@@ -221,4 +219,6 @@ def schur_concave_sum(spectrum: AngleSpectrum) -> float:
     For the spectrum of a polygon's inverted-angle table this equals the
     Euclidean area of the first-generation body.
     """
+    if not isinstance(spectrum, AngleSpectrum):
+        raise DomainError("schur_concave_sum takes an AngleSpectrum")
     return float(np.sum(side_region_area(spectrum.values)))

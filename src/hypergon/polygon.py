@@ -60,18 +60,13 @@ def _angle_vector(angles) -> np.ndarray:
     return arr
 
 
-def _check_rows(rows: np.ndarray) -> None:
-    """DomainError unless every angle is in [ALPHA_MIN, ALPHA_MAX] and every row's fsum within SUM_TOL of 1."""
-    if not np.all((rows >= ALPHA_MIN) & (rows <= ALPHA_MAX)):
-        raise DomainError("alpha must be in (0, 0.5)")
-    if any(abs(math.fsum(row) - 1.0) > SUM_TOL for row in rows.tolist()):
-        raise DomainError("angles must sum to 1")
-
-
 def _validate_angles(angles) -> np.ndarray:
-    """Flat float vector of >= 3 angles that passes :func:`_check_rows`."""
+    """Flat float vector of >= 3 angles in [ALPHA_MIN, ALPHA_MAX] whose fsum is within SUM_TOL of 1."""
     arr = _angle_vector(angles)
-    _check_rows(arr[None, :])
+    if not np.all((arr >= ALPHA_MIN) & (arr <= ALPHA_MAX)):
+        raise DomainError("alpha must be in (0, 0.5)")
+    if abs(math.fsum(arr.tolist()) - 1.0) > SUM_TOL:
+        raise DomainError("angles must sum to 1")
     return arr
 
 

@@ -652,6 +652,8 @@ def test_render_spec_takes_a_list_of_colors():
         ({"canvs": 900}, "unknown render spec key 'canvs'"),
         ([], "render spec must be a JSON object"),
         ({"colors": []}, "need at least one generation color"),
+        ({"colors": ['red" onload="alert(1)']}, "hex digits, or a name of letters"),
+        ({"colors": ["a<b&c"]}, "hex digits, or a name of letters"),
     ],
 )
 def test_cmd_render_rejects_bad_spec_types(tmp_path, capsys, spec, message):

@@ -38,6 +38,7 @@ from hypergon import (
     reflect_polygon,
     refine_minimum,
     sample_simplex,
+    schur_concave_sum,
     side,
     side_region_area,
     unit_point,
@@ -278,6 +279,7 @@ OPERAND_TAKERS = {
     "CirclePoint.approx_eq.None": lambda: CirclePoint(0.1).approx_eq(None),
     "majorizes.lists": lambda: majorizes([0.5, 0.3, 0.2], [0.4, 0.4, 0.2]),
     "majorizes.list": lambda: majorizes(decreasing_rearrangement([0.5, 0.3, 0.2]), [0.4, 0.4, 0.2]),
+    "schur_concave_sum.list": lambda: schur_concave_sum([0.5, 0.3, 0.2]),
 }
 
 

@@ -97,6 +97,14 @@ def test_sample_simplex_domain_and_determinism():
     assert a.min() > 0.0
 
 
+@pytest.mark.parametrize("floor", [ALPHA_MIN, 0.01, 0.05], ids=["clamp", "0.01", "0.05"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sample_simplex_rows_are_polygons(n, floor):
+    # the suites grow and tabulate these rows without checking them again
+    for row in sample_simplex(n, 500, np.random.default_rng(n), floor):
+        IdealPolygon(tuple(row))
+
+
 def test_sample_simplex_floor():
     rows = sample_simplex(3, 100, np.random.default_rng(1), floor=0.1)
     assert rows.min() > 0.1
