@@ -210,6 +210,8 @@ def minimax_objective(p: IdealPolygon) -> float:
     the widths in the other order, so about half the values change, by up to
     1e-15 relative.
     """
+    if not isinstance(p, IdealPolygon):
+        raise DomainError("minimax_objective takes an IdealPolygon")
     return float(_objective_batch(np.asarray(p.angles)[None, :])[0])
 
 
@@ -226,6 +228,8 @@ def sample_simplex(
     """
     n = check_count(n, "need an integer n >= 3", lo=3)
     count = check_count(count, "need a non-negative integer count", lo=0)
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError("sample_simplex draws from a numpy Generator, not a seed")
     message = "floor must be at least the clamp and below 1/n"
     floor = check_real(floor, message, lo=ALPHA_MIN)
     if floor >= 1.0 / n:
@@ -245,25 +249,55 @@ def sample_simplex(
     return out
 
 
-def _lattice_rows(n: int, total: int, m_max: int):
+def _lattice_rows(n: int, total: int, m_max: int, least_first: bool = False):
     """Yield integer lattice rows (B, n) summing to ``total``, parts in [1, m_max].
 
     Rows come in lexicographic order, one block per choice of the first
     ``n - 3`` parts; the last three are every pair of parts in range whose
-    remainder is in range too, at most ``m_max ** 2`` rows.
+    remainder is in range too, at most ``m_max ** 2`` rows.  With
+    ``least_first`` only the rows whose first part is their least come,
+    still in lexicographic order.
     """
     parts = np.arange(1, m_max + 1)
     pairs = np.stack(np.meshgrid(parts, parts, indexing="ij"), axis=-1).reshape(-1, 2)
     pair_sums = pairs.sum(axis=1)
     for prefix in itertools.product(range(1, m_max + 1), repeat=n - 3):
+        if least_first and prefix and min(prefix) < prefix[0]:
+            continue
         last = total - sum(prefix) - pair_sums
         keep = (last >= 1) & (last <= m_max)
+        if least_first:
+            least = prefix[0] if prefix else pairs[:, 0]
+            keep &= (pairs[:, 0] >= least) & (pairs[:, 1] >= least) & (last >= least)
         if keep.any():
             rows = np.empty((np.count_nonzero(keep), n))
             rows[:, : n - 3] = prefix
             rows[:, n - 3 : n - 1] = pairs[keep]
             rows[:, n - 1] = last[keep]
             yield rows
+
+
+def _lattice_classes(n: int, total: int, m_max: int):
+    """Yield ``(rows, sizes)``: one lattice row per rotation class, with its class size.
+
+    The row is the class's least rotation, so also its first member in
+    lattice order, and rows come in lattice order.  A row whose first part
+    is its only least part is such a row, with ``n`` distinct rotations;
+    only rows whose least part repeats are compared with their rotations,
+    and a class's size is its row's least period.
+    """
+    rotations = (np.arange(1, n + 1)[:, None] + np.arange(n)) % n  # row r - 1 reads rotation r
+    for rows in _lattice_rows(n, total, m_max, least_first=True):
+        sizes = np.full(len(rows), n)
+        tied = np.nonzero((rows[:, 1:] == rows[:, :1]).any(axis=1))[0]
+        diff = rows[tied][:, rotations] - rows[tied, None]  # [i, r - 1, k]: rotation r minus the row, part k
+        first = (diff != 0).argmax(axis=2)  # the first differing part, 0 when none differs
+        lead = np.take_along_axis(diff, first[..., None], axis=2)[..., 0]
+        sizes[tied] = (lead == 0).argmax(axis=1) + 1  # rotation n is the row itself
+        sizes[tied[(lead < 0).any(axis=1)]] = 0  # a smaller rotation is the class's row
+        keep = sizes > 0
+        if keep.any():
+            yield rows[keep], sizes[keep]
 
 
 def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
@@ -274,14 +308,23 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     objective values.  The report carries the minimizing lattice point, the
     value at the regular polygon, and the margins; a lattice point beating
     the regular value beyond slack is recorded as a violation.  Fully
-    deterministic.  With ``dump_path`` the whole evaluated lattice is also
-    written out as CSV.
+    deterministic.
+
+    The objective is bitwise invariant under cyclic shifts of the angle
+    vector (the width kernel sums every rotation from its own start), so
+    the scan evaluates one lattice point per rotation class, its least
+    rotation, and counts it once per distinct rotation.  ``size`` and the
+    two smallest values are the whole lattice's, and the least rotation is
+    its class's first point in lattice order, so the first minimizer in
+    lattice order still wins ties.  With ``dump_path`` every lattice point
+    is evaluated and written out as CSV, in lattice order.
 
     The lattice has roughly ``binomial(1/step - 1, n - 1)`` points, streamed
-    block by block: n = 4 at step 1/200 evaluates 646,899 points in
-    seconds, and n = 6 at step 1/100 58,810,584 points in 80 to 112 s at a
-    31 MB peak on 2 shared vCPUs, recording the alternating-hexagon finding
-    (so ``hypergon extremal --n 6 --grid 1/100`` exits 2).
+    block by block: n = 4 at step 1/200 covers 646,899 points with 161,750
+    evaluations in a tenth of a second, and n = 6 at step 1/100 58,810,584
+    points with 9,801,960 evaluations in 15 s at a 32 MB peak on 2 shared
+    vCPUs, recording the alternating-hexagon finding (so ``hypergon
+    extremal --n 6 --grid 1/100`` exits 2).
     """
     n = check_count(n, "side count must be an integer in 3..8", lo=3, hi=8)
     # from the smallest normal float up, 1 / step is finite
@@ -299,24 +342,32 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     second_val = np.inf
     best_row = None
     count = 0
+    if dump_path:
+        blocks = ((rows, np.ones(len(rows), dtype=int)) for rows in _lattice_rows(n, total, m_max))
+    else:
+        blocks = _lattice_classes(n, total, m_max)
     with open(dump_path, "w") if dump_path else nullcontext() as dump:
         if dump:
             dump.write(",".join(f"alpha_{i + 1}" for i in range(n)) + ",objective\n")
-        for points in _lattice_rows(n, total, m_max):
+        for points, sizes in blocks:
             points /= total  # each block is a fresh array: divide it in place
             vals = _objective_batch(points)
-            count += len(vals)
+            count += int(sizes.sum())
             if dump:
                 dump.writelines(",".join(map(repr, r)) + "\n" for r in np.column_stack([points, vals]).tolist())
+            # the two smallest values of the block, counting each class size times;
             # the first minimizer in lattice order wins ties
-            for idx in np.argsort(vals, kind="stable")[:2]:
-                v = float(vals[idx])
-                if v < best_val:
-                    second_val = best_val
-                    best_val = v
-                    best_row = points[idx]
-                elif v < second_val:
-                    second_val = v
+            i = int(np.argmin(vals))
+            low = float(vals[i])
+            if sizes[i] == 1:  # no other member shares the value: the next one is another row's
+                vals[i] = np.inf
+            next_low = float(vals.min())
+            if low < best_val:
+                second_val = min(best_val, next_low)
+                best_val = low
+                best_row = points[i]
+            elif low < second_val:
+                second_val = low
 
     best_point = tuple(best_row.tolist())
     violations = _violations(
@@ -357,6 +408,8 @@ def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygo
     below ``tol``; restarts the descent from the incumbent a few times to
     escape premature collapse.  Deterministic given the start.
     """
+    if not isinstance(start, IdealPolygon):
+        raise DomainError("refine_minimum starts from an IdealPolygon")
     tol = check_real(tol, "tolerance must be finite and at least 1e-12", lo=1e-12)
     n = start.n
     lo, hi = ALPHA_MIN, ALPHA_MAX

@@ -34,6 +34,7 @@ from hypergon import (
     is_regular,
     majorization_scan,
     majorizes,
+    minimax_objective,
     property_suite,
     reflect_polygon,
     refine_minimum,
@@ -280,6 +281,9 @@ OPERAND_TAKERS = {
     "majorizes.lists": lambda: majorizes([0.5, 0.3, 0.2], [0.4, 0.4, 0.2]),
     "majorizes.list": lambda: majorizes(decreasing_rearrangement([0.5, 0.3, 0.2]), [0.4, 0.4, 0.2]),
     "schur_concave_sum.list": lambda: schur_concave_sum([0.5, 0.3, 0.2]),
+    "refine_minimum.tuple": lambda: refine_minimum((0.25,) * 4),
+    "minimax_objective.tuple": lambda: minimax_objective((0.25,) * 4),
+    "sample_simplex.seed": lambda: sample_simplex(4, 3, 7),
 }
 
 

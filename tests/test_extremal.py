@@ -56,9 +56,18 @@ def test_objective_dihedral_invariance(rng):
         base = minimax_objective(SimplexPoint(tuple(row)))
         for shift in range(1, 4):
             rolled = minimax_objective(SimplexPoint(tuple(np.roll(row, shift))))
-            assert abs(rolled - base) < 1e-13
+            assert rolled == base
         reverse = minimax_objective(SimplexPoint(tuple(row[::-1])))
         assert abs(reverse - base) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_objective_is_bitwise_invariant_under_cyclic_shifts(n):
+    # the lattice scan evaluates one point per rotation class on this
+    rows = sample_simplex(n, 300, np.random.default_rng(100 + n))
+    base = extremal._objective_batch(rows)
+    for shift in range(1, n):
+        assert np.array_equal(extremal._objective_batch(np.roll(rows, shift, axis=1)), base)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -156,6 +165,46 @@ def test_lattice_rows_match_a_brute_force_in_lexicographic_order(n, total):
         if 1 <= total - sum(head) <= m_max
     ]
     assert got.tolist() == [list(map(float, row)) for row in want]
+
+
+@pytest.mark.parametrize("n,total", [(3, 9), (3, 12), (4, 10), (4, 15), (5, 12), (5, 17), (6, 13), (7, 14)])
+def test_lattice_classes_match_a_brute_force(n, total):
+    # one row per rotation class, the class's first member in lattice order
+    m_max = (total - 1) // 2
+    lattice = [row for row in itertools.product(range(1, m_max + 1), repeat=n) if sum(row) == total]
+    rotations = {row: {row[k:] + row[:k] for k in range(n)} for row in lattice}
+    firsts = [row for row in lattice if row == min(rotations[row])]
+    blocks = list(extremal._lattice_classes(n, total, m_max))
+    assert np.concatenate([rows for rows, _ in blocks]).tolist() == [list(map(float, row)) for row in firsts]
+    sizes = np.concatenate([sizes for _, sizes in blocks]).tolist()
+    assert sizes == [len(rotations[row]) for row in firsts]
+    assert sum(sizes) == len(lattice)
+
+
+@pytest.mark.parametrize(
+    "n,total",
+    [(3, 9), (3, 10), (3, 100), (4, 12), (4, 30), (4, 150), (5, 15), (5, 17), (6, 18), (6, 20)],
+)
+def test_grid_scan_matches_the_whole_lattice_bit_for_bit(monkeypatch, n, total):
+    # totals n divides put the regular point in a class of one; at n = 4 and
+    # totals 30 and 150 the best class has two members, so the second-best
+    # value equals the best
+    monkeypatch.setattr(extremal, "MAX_GRID_STEP", 1.0)
+    rows = np.concatenate(list(extremal._lattice_rows(n, total, (total - 1) // 2))) / total
+    values = extremal._objective_batch(rows)
+    best, second = (float(v) for v in np.sort(values)[:2])
+    regular = minimax_objective(IdealPolygon.regular(n))
+    report = grid_scan(n, 1.0 / total)
+    assert report.size == len(rows)
+    assert report.best_point == tuple(rows[np.argmin(values)].tolist())
+    assert report.best_value == best
+    assert report.detail == {
+        "step": 1.0 / total,
+        "second_best_value": second,
+        "isolation_margin": second - best,
+        "regular_value": regular,
+        "margin_to_regular": best - regular,
+    }
 
 
 def test_grid_scan_lattice_count_matches_brute_force():

@@ -11,8 +11,11 @@ another checkout.  The commands are the ``extremal`` scan with and without
 ``grow`` and ``area`` of the regular octagon, a seed with exactly equal
 sides, ``area --hyperbolic`` of a 4-gon with a side of 0.003, next to a
 cusp, and a library ``refine_minimum`` of three draws at each side count
-from 3 to 8 and of one start that takes the penalty; last, ``invert`` of
-one point in a quarter-turn side.  For each command it prints one line:
+from 3 to 8 and of one start that takes the penalty; ``invert`` of one
+point in a quarter-turn side; last, the ``extremal`` scan at n = 4, step
+1/150, whose best rotation class has two members, and at n = 5, step
+1/100, without ``--dump``.  New commands go last, so the listing of an
+older checkout keeps its lines in place.  For each command it prints one line:
 its label, exit code, the SHA-256 of its stdout and the SHA-256 of each
 file it wrote.  Two runs of the same checkout must print
 the same listing, and a change that keeps every result must print the
@@ -102,6 +105,10 @@ COMMANDS = [
     ("area-narrow", ["-m", "hypergon", "area", "--in", "narrow.json", "--hyperbolic"], []),
     ("refine-n3-8", ["-c", REFINE], []),
     ("invert-quarter", ["-m", "hypergon", "invert", "--side", "0,0.25", "--beta", "0.5"], []),
+    # lattice scans without --dump, one point per rotation class: the best class
+    # at n = 4, step 1/150 has two members, and n = 5 runs without its dump
+    ("extremal-n4-150", ["-m", "hypergon", "extremal", "--n", "4", "--grid", "1/150"], []),
+    ("extremal-n5-100", ["-m", "hypergon", "extremal", "--n", "5", "--grid", "1/100"], []),
 ]
 
 
