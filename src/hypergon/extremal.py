@@ -321,10 +321,10 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
 
     The lattice has roughly ``binomial(1/step - 1, n - 1)`` points, streamed
     block by block: n = 4 at step 1/200 covers 646,899 points with 161,750
-    evaluations in a tenth of a second, and n = 6 at step 1/100 58,810,584
-    points with 9,801,960 evaluations in 15 s at a 32 MB peak on 2 shared
-    vCPUs, recording the alternating-hexagon finding (so ``hypergon
-    extremal --n 6 --grid 1/100`` exits 2).
+    evaluations in a tenth of a second, and n = 6 at step 1/100
+    58,810,584 points with 9,801,960 evaluations in 13 to 16 s at a 33 MB
+    peak on 2 shared vCPUs, recording the alternating-hexagon finding (so
+    ``hypergon extremal --n 6 --grid 1/100`` exits 2).
     """
     n = check_count(n, "side count must be an integer in 3..8", lo=3, hi=8)
     # from the smallest normal float up, 1 / step is finite
