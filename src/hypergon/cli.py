@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -95,36 +96,67 @@ def polygon_from_doc(doc) -> IdealPolygon:
     return IdealPolygon(angles, rotation)
 
 
-def _arcs_json(arcs: np.ndarray, n: int) -> str:
-    """``json.dumps(arcs.tolist())``, formatted from one repeating block.
+# Most arcs formatted by one json.dumps call, so a writer holds the text of
+# one piece, never the whole boundary.
+_PIECE = 8192
 
-    A seed with a k-fold rotational symmetry (k divides ``n``) grows k
-    bitwise copies of one block of boundary arcs.  One comparison per
-    divisor finds the largest such k; only that block is formatted, and the
-    text is k copies of it, so equal floats print equal digits.
+
+def _repeats(arcs: np.ndarray, n: int) -> int:
+    """The largest k dividing ``n`` for which ``arcs`` is k bitwise copies
+    of one block, 1 if there is none.
+
+    A seed with a k-fold rotational symmetry grows k copies of one block of
+    boundary arcs; one comparison per divisor finds the largest such k.
     """
     size = arcs.size
-    block = size
     for k in range(n, 1, -1):
         if n % k == 0 and size % k == 0 and np.array_equal(arcs[size // k :], arcs[: size - size // k]):
-            block = size // k
-            break
-    text = json.dumps(arcs[:block].tolist())[1:-1]
-    return "[" + ", ".join([text] * (size // block)) + "]"
+            return k
+    return 1
+
+
+def write_body_json(body: Body, fh) -> None:
+    """Write the body document to the text file ``fh``, piece by piece.
+
+    The boundary arcs go out in pieces of at most ``_PIECE`` arcs.  A seed
+    whose arcs repeat k times formats one block, in pieces, and writes it k
+    times, so equal floats print equal digits.  ``checksum`` is the SHA-256
+    of exactly the ``boundary_angles`` text, which is ``json.dumps`` of the
+    arcs whatever the seed; it is hashed as it is written.  The area and its
+    checks, the block search and the head run before the first byte is
+    written, so a call that fails leaves the file empty.
+    """
+    arcs, n = body.boundary_angles, body.base.n
+    area, base = euclidean_area(arcs), polygon_to_doc(body.base)
+    copies = _repeats(arcs, n)
+    head = json.dumps({"n": n, "generations": body.generations, "polygon_counts": body.polygon_counts})
+    block = arcs[: arcs.size // copies]
+    pieces = (json.dumps(block[i : i + _PIECE].tolist())[1:-1] for i in range(0, block.size, _PIECE))
+    if copies > 1:
+        pieces = list(pieces)
+    digest = hashlib.sha256()
+
+    def put(text: str) -> None:
+        fh.write(text)
+        digest.update(text.encode())
+
+    fh.write(f'{head[:-1]}, "boundary_angles": ')
+    put("[")
+    sep = ""
+    for _ in range(copies):
+        for piece in pieces:
+            put(sep + piece)
+            sep = ", "
+    put("]")
+    tail = json.dumps({"euclidean_area": area, "base": base, "checksum": digest.hexdigest()})
+    fh.write(f", {tail[1:]}")
 
 
 def body_to_json(body: Body) -> str:
-    """The body document as JSON text; the boundary arcs are formatted once,
-    and ``checksum`` is the SHA-256 of exactly that ``boundary_angles`` text,
-    which is ``json.dumps`` of the arcs whatever the seed."""
-    arcs = _arcs_json(body.boundary_angles, body.base.n)
-    head = json.dumps(
-        {"n": body.base.n, "generations": body.generations, "polygon_counts": body.polygon_counts}
-    )
-    area, base = euclidean_area(body.boundary_angles), polygon_to_doc(body.base)
-    checksum = hashlib.sha256(arcs.encode()).hexdigest()
-    tail = json.dumps({"euclidean_area": area, "base": base, "checksum": checksum})
-    return f'{head[:-1]}, "boundary_angles": {arcs}, {tail[1:]}'
+    """The body document as JSON text (see :func:`write_body_json`)."""
+    out = io.StringIO()
+    write_body_json(body, out)
+    return out.getvalue()
 
 
 def body_to_doc(body: Body) -> dict:
@@ -198,8 +230,9 @@ def _cycle_path(verts: tuple[float, ...], widths: list[float], fmt) -> str:
     return " ".join(cmds)
 
 
-def render_svg(body: Body, spec: RenderSpec | None = None) -> str:
-    """Deterministic SVG of a body: the unit circle, then one path per cell."""
+def write_svg(body: Body, fh, spec: RenderSpec | None = None) -> None:
+    """Write a deterministic SVG of a body to the text file ``fh``: the unit
+    circle, then one path per cell, each written as soon as it is formatted."""
     spec = spec or RenderSpec()
 
     def fmt(v: float) -> str:
@@ -208,23 +241,26 @@ def render_svg(body: Body, spec: RenderSpec | None = None) -> str:
             s = f"{0.0:.{spec.precision}f}"  # never emit -0
         return s
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    fh.write(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.canvas}" '
-        f'height="{spec.canvas}" viewBox="-1.05 -1.05 2.1 2.1">',
+        f'height="{spec.canvas}" viewBox="-1.05 -1.05 2.1 2.1">\n'
         f'<circle cx="0" cy="0" r="1" fill="none" stroke="#000000" '
-        f'stroke-width="{spec.circle_stroke}"/>',
-    ]
+        f'stroke-width="{spec.circle_stroke}"/>\n'
+    )
     for g, (cells, widths) in enumerate(zip(body.polygons, body.gaps)):
         color = spec.colors[g % len(spec.colors)]
         for verts, cell_widths in zip(cells, widths.tolist()):
             d = _cycle_path(verts, cell_widths, fmt)
-            lines.append(
-                f'<path d="{d}" fill="none" stroke="{color}" '
-                f'stroke-width="{spec.side_stroke}"/>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            fh.write(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="{spec.side_stroke}"/>\n')
+    fh.write("</svg>\n")
+
+
+def render_svg(body: Body, spec: RenderSpec | None = None) -> str:
+    """The SVG of a body as text (see :func:`write_svg`)."""
+    out = io.StringIO()
+    write_svg(body, out, spec)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +268,12 @@ def render_svg(body: Body, spec: RenderSpec | None = None) -> str:
 
 
 def _load_json(path: str):
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON, text that is not UTF-8 and an
+            # integer past the digit limit; RecursionError, deep nesting
             raise DomainError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -250,12 +288,11 @@ def _cmd_grow(args) -> int:
     poly = polygon_from_doc(_load_json(args.infile))
     body = grow_body(poly, args.generations, _max_sides())
     with open(args.out, "w") as fh:
-        fh.write(body_to_json(body))
+        write_body_json(body, fh)
         fh.write("\n")
     if args.svg:
-        svg = render_svg(body)
         with open(args.svg, "w") as fh:
-            fh.write(svg)
+            write_svg(body, fh)
     return EXIT_OK
 
 
@@ -361,9 +398,8 @@ def _cmd_render(args) -> int:
     generations = check_count(doc.get("generations"), message, lo=0)
     body = grow_body(poly, generations, _max_sides())
     spec = render_spec_from_doc(_load_json(args.spec)) if args.spec else RenderSpec()
-    svg = render_svg(body, spec)
     with open(args.out, "w") as fh:
-        fh.write(svg)
+        write_svg(body, fh, spec)
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -216,6 +217,67 @@ def test_body_json_repeats_only_whole_blocks():
     assert boundary == json.dumps(arcs)
 
 
+def _arcs_body(sizes, n=4):
+    """A hand-built body under the regular n-gon: one random block of arcs
+    per entry of ``sizes``, each block repeated as many times as it is listed."""
+    rng = np.random.default_rng(sum(sizes))
+    blocks = {size: rng.uniform(0.5, 1.5, size) for size in set(sizes)}
+    arcs = np.concatenate([blocks[size] for size in sizes])
+    return Body(IdealPolygon.regular(n), 0, (), arcs / arcs.sum())
+
+
+def _grow_into(tmp_path, monkeypatch, body, *extra):
+    """Run ``grow`` with ``grow_body`` returning ``body``; returns the body file."""
+    monkeypatch.setattr(hypergon.cli, "grow_body", lambda *args: body)
+    src = write_polygon(tmp_path / "p.json", body.base.angles, body.base.rotation)
+    out = tmp_path / "body.json"
+    argv = ["grow", "--in", str(src), "--generations", str(body.generations), "--out", str(out), *extra]
+    assert main(argv) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        *[pytest.param(_arcs_body([size]), id=f"{size}-arcs") for size in (8191, 8192, 8193, 16385)],
+        pytest.param(_arcs_body([8193, 8193]), id="two-blocks-of-8193"),
+        pytest.param(grow_body(IdealPolygon.regular(8), 4), id="regular8-s4"),
+    ],
+)
+def test_grow_writes_the_document_piece_by_piece(tmp_path, monkeypatch, body):
+    # pieces end at 8,192 arcs, so these bodies end a piece one arc short of,
+    # at, and one past a boundary, and one repeats a block of two pieces
+    arcs = body.boundary_angles.tolist()
+    doc = {
+        "n": body.base.n,
+        "generations": body.generations,
+        "polygon_counts": list(body.polygon_counts),
+        "boundary_angles": arcs,
+        "euclidean_area": euclidean_area(body.boundary_angles),
+        "base": polygon_to_doc(body.base),
+        "checksum": hashlib.sha256(json.dumps(arcs).encode()).hexdigest(),
+    }
+    text = _grow_into(tmp_path, monkeypatch, body).read_text()
+    assert text == body_to_json(body) + "\n" == json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("figure", [False, True], ids=["document", "figure"])
+def test_grow_writes_in_memory_bounded_by_its_output(tmp_path, monkeypatch, figure):
+    # the document of 98,304 arcs: its peak is the area check's list of the
+    # arcs (32 bytes an arc), not the text; the figure of 12,286 cells: its
+    # peak is the vertex cycles, built inside the traced call
+    generations = 12 if figure else 15
+    body = grow_body(IdealPolygon((0.3, 0.33, 0.37)), generations)
+    svg = tmp_path / "fig.svg"
+    tracemalloc.start()
+    try:
+        out = _grow_into(tmp_path, monkeypatch, body, *(["--svg", str(svg)] if figure else []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (svg if figure else out).stat().st_size
+
+
 def test_cmd_grow_depth_cap_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HYPERGON_MAX_SIDES", "10")
     src = write_polygon(tmp_path / "d4.json", [0.25] * 4)
@@ -261,6 +323,39 @@ def test_cmd_grow_invalid_json_is_invalid_input(tmp_path):
     assert main(["grow", "--in", str(bad), "--generations", "1", "--out", str(tmp_path / "o.json")]) == 1
 
 
+# a 5,000-digit integer where each document's checks would refuse it, for a
+# Python whose decoder takes it
+LONG_INTEGER = {
+    "area": '{"angles": [%s, 0.5, 0.5]}',
+    "grow": '{"angles": [%s, 0.5, 0.5]}',
+    "render": '{"base": {"angles": [%s, 0.5, 0.5]}, "generations": 1}',
+    "render-spec": '{"precision": %s}',
+}
+
+
+@pytest.mark.parametrize("bad", ["not-utf8", "deep", "long-integer"])
+@pytest.mark.parametrize("command", list(LONG_INTEGER))
+def test_unreadable_documents_are_refused_without_a_traceback(tmp_path, command, bad):
+    data = {
+        "not-utf8": b"\xff\xfe\x00",
+        "deep": b"[" * 100_000 + b"]" * 100_000,
+        "long-integer": (LONG_INTEGER[command] % ("1" * 5000)).encode(),
+    }[bad]
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(data)
+    (tmp_path / "b.json").write_text(body_to_json(grow_body(IdealPolygon.regular(3), 1)))
+    out = str(tmp_path / "out")
+    argv = {
+        "area": ["area", "--in", str(doc)],
+        "grow": ["grow", "--in", str(doc), "--generations", "1", "--out", out],
+        "render": ["render", "--in", str(doc), "--out", out],
+        "render-spec": ["render", "--in", str(tmp_path / "b.json"), "--out", out, "--spec", str(doc)],
+    }[command]
+    proc = subprocess.run([sys.executable, "-m", "hypergon", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_cmd_grow_precision_exhausted_exits_four(tmp_path, capsys):
     # a valid polygon whose second generation has arcs below the guard
     src = write_polygon(tmp_path / "thin.json", [0.3, 0.3, 0.399, 0.001])
@@ -274,7 +369,8 @@ def test_cmd_grow_writes_svg(tmp_path):
     src = write_polygon(tmp_path / "d3.json", [1 / 3] * 3)
     svg = tmp_path / "fig.svg"
     assert main(["grow", "--in", str(src), "--generations", "2", "--out", str(tmp_path / "b.json"), "--svg", str(svg)]) == 0
-    assert svg.read_text().startswith("<?xml")
+    # the file, written cell by cell, is the figure's text
+    assert svg.read_text() == render_svg(grow_body(IdealPolygon((1 / 3,) * 3), 2))
 
 
 # --- area ------------------------------------------------------------------

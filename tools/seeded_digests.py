@@ -14,7 +14,9 @@ cusp, and a library ``refine_minimum`` of three draws at each side count
 from 3 to 8 and of one start that takes the penalty; ``invert`` of one
 point in a quarter-turn side; last, the ``extremal`` scan at n = 4, step
 1/150, whose best rotation class has two members, and at n = 5, step
-1/100, without ``--dump``.  New commands go last, so the listing of an
+1/100, without ``--dump``; and ``grow`` of a seed with three distinct sides
+to 393,216 arcs, a document of many pieces and no repeating block.  New
+commands go last, so the listing of an
 older checkout keeps its lines in place.  For each command it prints one line:
 its label, exit code, the SHA-256 of its stdout and the SHA-256 of each
 file it wrote.  Two runs of the same checkout must print
@@ -41,6 +43,7 @@ INPUTS = {
     "spec.json": '{"canvas": 900, "precision": 12}',
     "oct.json": '{"angles": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}',
     "narrow.json": '{"angles": [0.3, 0.3, 0.397, 0.003]}',
+    "distinct.json": '{"angles": [0.3, 0.33, 0.37]}',
 }
 
 SUITES = (
@@ -109,6 +112,11 @@ COMMANDS = [
     # at n = 4, step 1/150 has two members, and n = 5 runs without its dump
     ("extremal-n4-150", ["-m", "hypergon", "extremal", "--n", "4", "--grid", "1/150"], []),
     ("extremal-n5-100", ["-m", "hypergon", "extremal", "--n", "5", "--grid", "1/100"], []),
+    (
+        "grow-distinct-s17",
+        ["-m", "hypergon", "grow", "--in", "distinct.json", "--generations", "17", "--out", "distinct-body.json"],
+        ["distinct-body.json"],
+    ),
 ]
 
 
