@@ -97,7 +97,8 @@ def polygon_from_doc(doc) -> IdealPolygon:
 
 
 # Most arcs formatted by one json.dumps call, so a writer holds the text of
-# one piece, never the whole boundary.
+# one piece (of one repeating block, for a symmetric seed), never the whole
+# boundary.
 _PIECE = 8192
 
 
@@ -133,7 +134,7 @@ def write_body_json(body: Body, fh) -> None:
     block = arcs[: arcs.size // copies]
     pieces = (json.dumps(block[i : i + _PIECE].tolist())[1:-1] for i in range(0, block.size, _PIECE))
     if copies > 1:
-        pieces = list(pieces)
+        pieces = list(pieces)  # formatted once, written k times
     digest = hashlib.sha256()
 
     def put(text: str) -> None:

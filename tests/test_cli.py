@@ -263,9 +263,10 @@ def test_grow_writes_the_document_piece_by_piece(tmp_path, monkeypatch, body):
 
 @pytest.mark.parametrize("figure", [False, True], ids=["document", "figure"])
 def test_grow_writes_in_memory_bounded_by_its_output(tmp_path, monkeypatch, figure):
-    # the document of 98,304 arcs: its peak is the area check's list of the
-    # arcs (32 bytes an arc), not the text; the figure of 12,286 cells: its
-    # peak is the vertex cycles, built inside the traced call
+    # the document of 98,304 arcs peaks at the area check's list of the arcs
+    # (32 bytes an arc), not at its text; the figure of 12,286 cells peaks
+    # at the vertex cycles, built inside the traced call, plus the widths of
+    # one generation
     generations = 12 if figure else 15
     body = grow_body(IdealPolygon((0.3, 0.33, 0.37)), generations)
     svg = tmp_path / "fig.svg"
