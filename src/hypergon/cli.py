@@ -37,7 +37,6 @@ from .disk_geometry import (
     check_numbers,
     check_real,
     invert_on_circle,
-    unit_point,
 )
 from .errors import ConvergenceError, DomainError, HypergonError, PrecisionError
 from .extremal import (
@@ -96,9 +95,9 @@ def polygon_from_doc(doc) -> IdealPolygon:
     return IdealPolygon(angles, rotation)
 
 
-# Most arcs formatted by one json.dumps call, so a writer holds the text of
-# one piece (of one repeating block, for a symmetric seed), never the whole
-# boundary.
+# Most arcs formatted by one json.dumps call, and most cells turned into
+# Python floats at once, so a writer holds one piece (of one repeating
+# block, for a symmetric seed), never the whole boundary or generation.
 _PIECE = 8192
 
 
@@ -212,7 +211,7 @@ def render_spec_from_doc(doc) -> RenderSpec:
     return RenderSpec(**doc)
 
 
-def _cycle_path(verts: tuple[float, ...], widths: list[float], fmt) -> str:
+def _cycle_path(verts: list[float], widths: list[float], fmt) -> str:
     """SVG path of one cell: a geodesic arc per side, from the side widths.
 
     Coordinates are emitted y-flipped (screen orientation).  A side of width
@@ -221,14 +220,12 @@ def _cycle_path(verts: tuple[float, ...], widths: list[float], fmt) -> str:
     and it bulges toward the origin, which sets the sweep flag exactly when
     ``w < 1/2``.  Only the endpoints come from the vertex fractions.
     """
-    p0 = unit_point(verts[0])
-    cmds = [f"M {fmt(p0.x)} {fmt(-p0.y)}"]
-    for t1, w in zip(verts[1:] + verts[:1], widths):
+    points = [f"{fmt(math.cos(2.0 * math.pi * t))} {fmt(-math.sin(2.0 * math.pi * t))}" for t in verts]
+    cmds = [f"M {points[0]}"]
+    for p1, w in zip(points[1:] + points[:1], widths):
         r = fmt(math.tan(math.pi * min(w, 1.0 - w)))
-        p1 = unit_point(t1)
-        cmds.append(f"A {r} {r} 0 0 {int(w < 0.5)} {fmt(p1.x)} {fmt(-p1.y)}")
-    cmds.append("Z")
-    return " ".join(cmds)
+        cmds.append(f"A {r} {r} 0 0 {int(w < 0.5)} {p1}")
+    return " ".join(cmds) + " Z"
 
 
 def write_svg(body: Body, fh, spec: RenderSpec | None = None) -> None:
@@ -249,11 +246,12 @@ def write_svg(body: Body, fh, spec: RenderSpec | None = None) -> None:
         f'<circle cx="0" cy="0" r="1" fill="none" stroke="#000000" '
         f'stroke-width="{spec.circle_stroke}"/>\n'
     )
-    for g, (cells, widths) in enumerate(zip(body.polygons, body.gaps)):
+    for g, (verts, widths) in enumerate(zip(body._vertex_arrays(), body.gaps)):
         color = spec.colors[g % len(spec.colors)]
-        for verts, cell_widths in zip(cells, widths.tolist()):
-            d = _cycle_path(verts, cell_widths, fmt)
-            fh.write(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="{spec.side_stroke}"/>\n')
+        for i in range(0, len(verts), _PIECE):
+            for cell, cell_widths in zip(verts[i : i + _PIECE].tolist(), widths[i : i + _PIECE].tolist()):
+                d = _cycle_path(cell, cell_widths, fmt)
+                fh.write(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="{spec.side_stroke}"/>\n')
     fh.write("</svg>\n")
 
 

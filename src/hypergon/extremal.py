@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -331,6 +332,9 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     step = check_real(step, "grid step must be positive", lo=np.finfo(float).tiny)
     if step > MAX_GRID_STEP:
         raise DomainError("grid step too coarse")
+    # open() would take an integer as a file descriptor, and close it
+    if dump_path is not None and not isinstance(dump_path, (str, os.PathLike)):
+        raise DomainError("dump path must be a path")
     total = round(1.0 / step)
     if abs(total * step - 1.0) > 1e-9:
         raise DomainError("grid step must divide a full turn")

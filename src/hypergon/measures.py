@@ -146,6 +146,8 @@ def hyperbolic_area_quadrature(poly: IdealPolygon) -> float:
     order.  Each term is within 1e-15 relative of ``pi*(1 - 2w)/4`` for
     widths up to 0.45 and within 2e-15 absolute above.
     """
+    if not isinstance(poly, IdealPolygon):
+        raise DomainError("hyperbolic_area_quadrature takes an IdealPolygon")
     # not sum(): from CPython 3.12 it compensates, which would change bytes
     total = 0.0
     for w in poly.angles:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,6 +264,8 @@ def angle_tables(angle_rows: np.ndarray) -> np.ndarray:
 
 def inverted_angle_matrix(poly: IdealPolygon) -> InvertedAngleMatrix:
     """The table of inverted side angles of a polygon."""
+    if not isinstance(poly, IdealPolygon):
+        raise DomainError("inverted_angle_matrix takes an IdealPolygon")
     return InvertedAngleMatrix(poly.n, angle_tables(poly.angles)[0])
 
 
@@ -310,7 +312,7 @@ class Body:
     between consecutive boundary vertices of the union, in positive
     orientation starting from the smallest fraction.  ``polygons[g]`` lists
     the vertex cycles (tuples of turn fractions) of generation ``g``; it is
-    built from the widths on first access.
+    built from the widths on each access, not cached.
     """
 
     base: IdealPolygon
@@ -323,19 +325,21 @@ class Body:
         """Cells per generation."""
         return tuple(len(g) for g in self.gaps)
 
-    @cached_property
+    @property
     def polygons(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        n = self.base.n
+        return tuple(tuple(map(tuple, verts.tolist())) for verts in self._vertex_arrays())
+
+    def _vertex_arrays(self):
+        """Yield each generation's ``(C_g, n)`` vertex fractions, keeping only the parent's."""
         verts = vertex_fractions(self.base)[None, :]
-        out = [tuple(map(tuple, verts.tolist()))]
+        yield verts
         for widths in self.gaps[1:]:
             free = widths.shape[0] // verts.shape[0]
             start = verts[:, :free].reshape(-1)
             end = np.roll(verts, -1, axis=1)[:, :free].reshape(-1)
-            inner = (start[:, None] + np.cumsum(widths[:, : n - 2], axis=1)) % 1.0
+            inner = (start[:, None] + np.cumsum(widths[:, :-2], axis=1)) % 1.0
             verts = np.column_stack([start, inner, end])
-            out.append(tuple(map(tuple, verts.tolist())))
-        return tuple(out)
+            yield verts
 
 
 def _grow(seeds: np.ndarray, s: int) -> list[np.ndarray]:
@@ -376,6 +380,8 @@ def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) ->
     order, rotated once to start at the smallest fraction; nothing is
     sorted.  Grown arcs keep their relative precision.
     """
+    if not isinstance(poly, IdealPolygon):
+        raise DomainError("grow_body takes an IdealPolygon")
     s = check_count(s, "generation count must be a non-negative integer", lo=0)
     max_sides = check_count(max_sides, "side cap must be a positive integer", lo=1)
     n = poly.n

@@ -44,7 +44,9 @@ def replay_table(mpmath, angles):
     ``x`` with ``cot(pi x) = 2 cot(pi w) - cot(pi delta)``.  Each source
     side's first vertex is summed from the nearer end of the reflecting
     side and its second one lies the side's own width further on, so a row
-    that sums to 1 only in double precision still replays every width.
+    that sums to 1 only in double precision still replays every width.  The
+    last side closes the polygon: its second vertex is the reflecting side's
+    start, a full turn round (``delta = 1``), as it is in the kernel.
     """
     mp = mpmath.mp.clone()
     mp.dps = 40
@@ -62,7 +64,8 @@ def replay_table(mpmath, angles):
         for k in range(1, n):
             from_end, from_start = sum(r[:k]), sum(r[k:])
             delta = from_end if from_end <= from_start else 1 - from_start
-            table[j, (j + k) % n] = image(r[0], delta) - image(r[0], delta + r[k])
+            far = delta + r[k] if k < n - 1 else 1
+            table[j, (j + k) % n] = image(r[0], delta) - image(r[0], far)
     return table
 
 

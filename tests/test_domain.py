@@ -28,12 +28,14 @@ from hypergon import (
     grid_scan,
     grow_body,
     hyperbolic_area_ideal,
+    hyperbolic_area_quadrature,
     inverse_distance,
     invert_on_circle,
     inverted_angle_matrix,
     is_regular,
     majorization_scan,
     majorizes,
+    max_inverted_angle,
     minimax_objective,
     property_suite,
     reflect_polygon,
@@ -283,6 +285,11 @@ OPERAND_TAKERS = {
     "schur_concave_sum.list": lambda: schur_concave_sum([0.5, 0.3, 0.2]),
     "refine_minimum.tuple": lambda: refine_minimum((0.25,) * 4),
     "minimax_objective.tuple": lambda: minimax_objective((0.25,) * 4),
+    "grow_body.tuple": lambda: grow_body((0.25,) * 4, 1),
+    "hyperbolic_area_quadrature.tuple": lambda: hyperbolic_area_quadrature((0.25,) * 4),
+    "inverted_angle_matrix.tuple": lambda: inverted_angle_matrix((0.25,) * 4),
+    "max_inverted_angle.tuple": lambda: max_inverted_angle((0.25,) * 4),
+    "grid_scan.dump_path.fd": lambda: grid_scan(3, 0.01, dump_path=1),
     "sample_simplex.seed": lambda: sample_simplex(4, 3, 7),
 }
 

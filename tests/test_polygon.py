@@ -16,6 +16,7 @@ from hypergon.polygon import (
     IdealPolygon,
     _block_rows,
     _grow,
+    _image_widths,
     _regular_rows,
     angle_tables,
     grow_body,
@@ -232,6 +233,21 @@ def test_angle_tables_hold_relative_precision(n):
         exact = replay_table(mpmath, row)
         worst = max(abs(float((mpmath.mpf(float(got[jk])) - e) / e)) for jk, e in exact.items())
         assert worst < 1e-13
+
+
+def test_replay_closes_a_grown_cell():
+    # a grown cell's shape, the wide shared side last, whose widths sum to
+    # 1 - 1.28e-17: a replay that ended the last side a width past its
+    # first vertex, not at delta = 1, read entry (1, 3) 1.09e-9 off
+    mpmath = pytest.importorskip("mpmath")
+    row = np.array([2.3502e-08, 0.303299976498, 0.6967])
+    n = row.size
+    got = _image_widths(row[None, :], n - 1)
+    exact = replay_table(mpmath, row)
+    for k in range(1, n):
+        for j in range(n - 1):
+            e = exact[j, (j + k) % n]
+            assert abs(float((mpmath.mpf(float(got[k - 1, j, 0])) - e) / e)) < 1e-15
 
 
 def test_matrix_entry_indexing():

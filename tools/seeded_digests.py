@@ -15,8 +15,9 @@ from 3 to 8 and of one start that takes the penalty; ``invert`` of one
 point in a quarter-turn side; last, the ``extremal`` scan at n = 4, step
 1/150, whose best rotation class has two members, and at n = 5, step
 1/100, without ``--dump``; and ``grow`` of a seed with three distinct sides
-to 393,216 arcs, a document of many pieces and no repeating block.  New
-commands go last, so the listing of an
+to 393,216 arcs, a document of many pieces and no repeating block; and
+``grow --svg`` of a 5-gon rotated by 0.9 turn, whose vertex fractions wrap
+past a full turn.  New commands go last, so the listing of an
 older checkout keeps its lines in place.  For each command it prints one line:
 its label, exit code, the SHA-256 of its stdout and the SHA-256 of each
 file it wrote.  Two runs of the same checkout must print
@@ -44,6 +45,7 @@ INPUTS = {
     "oct.json": '{"angles": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125]}',
     "narrow.json": '{"angles": [0.3, 0.3, 0.397, 0.003]}',
     "distinct.json": '{"angles": [0.3, 0.33, 0.37]}',
+    "rot.json": '{"angles": [0.3, 0.15, 0.2, 0.25, 0.1], "rotation": 0.9}',
 }
 
 SUITES = (
@@ -116,6 +118,11 @@ COMMANDS = [
         "grow-distinct-s17",
         ["-m", "hypergon", "grow", "--in", "distinct.json", "--generations", "17", "--out", "distinct-body.json"],
         ["distinct-body.json"],
+    ),
+    (
+        "grow-rot-s3",
+        ["-m", "hypergon", "grow", "--in", "rot.json", "--generations", "3", "--out", "rot-body.json", "--svg", "rot.svg"],
+        ["rot-body.json", "rot.svg"],
     ),
 ]
 
