@@ -42,6 +42,7 @@ from .errors import ConvergenceError, DomainError, HypergonError, PrecisionError
 from .extremal import (
     FINDING_SLACK,
     SEED_MESSAGE,
+    TOL_MESSAGE,
     grid_scan,
     property_suite,
     refine_minimum,
@@ -126,6 +127,8 @@ def write_body_json(body: Body, fh) -> None:
     checks, the block search and the head run before the first byte is
     written, so a call that fails leaves the file empty.
     """
+    if not isinstance(body, Body):
+        raise DomainError("write_body_json takes a Body")
     arcs, n = body.boundary_angles, body.base.n
     area, base = euclidean_area(arcs), polygon_to_doc(body.base)
     copies = _repeats(arcs, n)
@@ -231,7 +234,12 @@ def _cycle_path(verts: list[float], widths: list[float], fmt) -> str:
 def write_svg(body: Body, fh, spec: RenderSpec | None = None) -> None:
     """Write a deterministic SVG of a body to the text file ``fh``: the unit
     circle, then one path per cell, each written as soon as it is formatted."""
-    spec = spec or RenderSpec()
+    if not isinstance(body, Body):
+        raise DomainError("write_svg takes a Body")
+    if spec is None:
+        spec = RenderSpec()
+    elif not isinstance(spec, RenderSpec):
+        raise DomainError("write_svg takes a RenderSpec")
 
     def fmt(v: float) -> str:
         s = f"{v:.{spec.precision}f}"
@@ -322,6 +330,8 @@ def _parse_step(text: str) -> float:
 
 def _cmd_extremal(args) -> int:
     check_count(args.seed, SEED_MESSAGE, lo=0)
+    check_count(args.starts, "number of starts must be a non-negative integer", lo=0)
+    check_real(args.tol, TOL_MESSAGE, lo=1e-12)
     report = grid_scan(args.n, args.grid, dump_path=args.dump)
     out = {
         "n": args.n,

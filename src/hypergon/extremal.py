@@ -133,6 +133,7 @@ FINDING_SLACK = 1e-12
 EQUALITY_TOL = 1e-12
 
 SEED_MESSAGE = "seed must be a non-negative integer"
+TOL_MESSAGE = "tolerance must be finite and at least 1e-12"
 
 
 # A point of the angle simplex is a polygon at rotation 0.
@@ -317,8 +318,8 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     rotation, and counts it once per distinct rotation.  ``size`` and the
     two smallest values are the whole lattice's, and the least rotation is
     its class's first point in lattice order, so the first minimizer in
-    lattice order still wins ties.  With ``dump_path`` every lattice point
-    is evaluated and written out as CSV, in lattice order.
+    lattice order still wins ties, with or without ``dump_path``, which gets
+    every lattice point and its value as CSV after the scan, in lattice order.
 
     The lattice has roughly ``binomial(1/step - 1, n - 1)`` points, streamed
     block by block: n = 4 at step 1/200 covers 646,899 points with 161,750
@@ -342,25 +343,17 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     t0 = time.perf_counter()
     regular_value = minimax_objective(IdealPolygon.regular(n))
 
-    best_val = np.inf
-    second_val = np.inf
+    best_val = second_val = np.inf
     best_row = None
     count = 0
-    if dump_path:
-        blocks = ((rows, np.ones(len(rows), dtype=int)) for rows in _lattice_rows(n, total, m_max))
-    else:
-        blocks = _lattice_classes(n, total, m_max)
-    with open(dump_path, "w") if dump_path else nullcontext() as dump:
-        if dump:
-            dump.write(",".join(f"alpha_{i + 1}" for i in range(n)) + ",objective\n")
-        for points, sizes in blocks:
+    with open(dump_path, "w") if dump_path else nullcontext() as dump:  # a bad path fails before the scan
+        for points, sizes in _lattice_classes(n, total, m_max):
             points /= total  # each block is a fresh array: divide it in place
             vals = _objective_batch(points)
             count += int(sizes.sum())
-            if dump:
-                dump.writelines(",".join(map(repr, r)) + "\n" for r in np.column_stack([points, vals]).tolist())
-            # the two smallest values of the block, counting each class size times;
-            # the first minimizer in lattice order wins ties
+            # the two smallest values of the block, counting each class size times; the first minimizer
+            # in lattice order wins ties.  No later class lands between best and second: only the last
+            # class, the all-equal row, has size 1, and a best class of size >= 2 sets second = best
             i = int(np.argmin(vals))
             low = float(vals[i])
             if sizes[i] == 1:  # no other member shares the value: the next one is another row's
@@ -370,8 +363,12 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
                 second_val = min(best_val, next_low)
                 best_val = low
                 best_row = points[i]
-            elif low < second_val:
-                second_val = low
+        if dump:
+            dump.write(",".join(f"alpha_{i + 1}" for i in range(n)) + ",objective\n")
+            for points in _lattice_rows(n, total, m_max):
+                points /= total
+                rows = np.column_stack([points, _objective_batch(points)]).tolist()
+                dump.writelines(",".join(map(repr, r)) + "\n" for r in rows)
 
     best_point = tuple(best_row.tolist())
     violations = _violations(
@@ -414,7 +411,7 @@ def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygo
     """
     if not isinstance(start, IdealPolygon):
         raise DomainError("refine_minimum starts from an IdealPolygon")
-    tol = check_real(tol, "tolerance must be finite and at least 1e-12", lo=1e-12)
+    tol = check_real(tol, TOL_MESSAGE, lo=1e-12)
     n = start.n
     lo, hi = ALPHA_MIN, ALPHA_MAX
 

@@ -95,6 +95,8 @@ class IdealPolygon:
 
 def vertex_fractions(poly: IdealPolygon) -> np.ndarray:
     """Vertex turn fractions in polygon order, reduced mod 1."""
+    if not isinstance(poly, IdealPolygon):
+        raise DomainError("vertex_fractions takes an IdealPolygon")
     sums = np.concatenate(([0.0], np.cumsum(poly.angles)[:-1]))
     return (poly.rotation + sums) % 1.0
 
@@ -106,8 +108,9 @@ def vertices(poly: IdealPolygon) -> tuple[CirclePoint, ...]:
 
 def side(poly: IdealPolygon, j: int) -> GeodesicSide:
     """Side ``j`` (1-based), joining vertex ``j`` to vertex ``j + 1``."""
+    fractions = vertex_fractions(poly)  # checks the polygon
     j = check_count(j, f"side index must be an integer in 1..{poly.n}", lo=1, hi=poly.n)
-    return GeodesicSide(vertex_fractions(poly)[j - 1], poly.angles[j - 1])
+    return GeodesicSide(fractions[j - 1], poly.angles[j - 1])
 
 
 def reflect_polygon(vertex_cycle, j: int) -> tuple[CirclePoint, ...]:

@@ -532,6 +532,28 @@ def test_negative_seed_exits_one(capsys, argv):
     assert err == "error: seed must be a non-negative integer\n"
 
 
+@pytest.mark.parametrize(
+    "tail,message",
+    [
+        (["--refine", "--tol", "0"], "tolerance must be finite and at least 1e-12"),
+        (["--refine", "--starts", "-1"], "number of starts must be a non-negative integer"),
+        (["--tol", "nan"], "tolerance must be finite and at least 1e-12"),
+        (["--starts", "-3"], "number of starts must be a non-negative integer"),
+    ],
+    ids=["refine-tol-0", "refine-starts-minus-1", "tol-nan", "starts-minus-3"],
+)
+def test_cmd_extremal_checks_starts_and_tolerance_before_the_scan(monkeypatch, capsys, tail, message):
+    # both used to be checked only by the refinement, after the whole lattice scan
+    def scan(*args, **kwargs):
+        raise AssertionError("the lattice scan ran")
+
+    monkeypatch.setattr(hypergon.cli, "grid_scan", scan)
+    assert main(["extremal", "--n", "5", "--grid", "1/100", *tail]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cmd_extremal_refine_runs_without_scipy(capsys):
     argv = ["extremal", "--n", "3", "--grid", "1/100", "--refine", "--starts", "3", "--seed", "0"]
     assert main(argv) == 0

@@ -7,6 +7,7 @@ and integers past the largest float; every entry point that takes an angle
 vector or a side width applies the same clamp and the same sum test.
 """
 
+import io
 import math
 from fractions import Fraction
 
@@ -45,9 +46,10 @@ from hypergon import (
     side,
     side_region_area,
     unit_point,
+    vertex_fractions,
     vertices,
 )
-from hypergon.cli import RenderSpec, main, polygon_from_doc
+from hypergon.cli import RenderSpec, body_to_json, main, polygon_from_doc, render_svg, write_body_json, write_svg
 from hypergon.disk_geometry import ALPHA_MAX, ALPHA_MIN, SUM_TOL
 from hypergon.errors import DomainError, UnknownSuiteError
 from hypergon.polygon import _regular_rows
@@ -291,6 +293,18 @@ OPERAND_TAKERS = {
     "max_inverted_angle.tuple": lambda: max_inverted_angle((0.25,) * 4),
     "grid_scan.dump_path.fd": lambda: grid_scan(3, 0.01, dump_path=1),
     "sample_simplex.seed": lambda: sample_simplex(4, 3, 7),
+    "vertex_fractions.tuple": lambda: vertex_fractions((0.25,) * 4),
+    "vertices.tuple": lambda: vertices((0.25,) * 4),
+    "side.tuple": lambda: side((0.25,) * 4, 1),
+    "write_body_json.polygon": lambda: write_body_json(IdealPolygon.regular(4), io.StringIO()),
+    "body_to_json.polygon": lambda: body_to_json(IdealPolygon.regular(4)),
+    "write_svg.polygon": lambda: write_svg(IdealPolygon.regular(4), io.StringIO()),
+    "render_svg.polygon": lambda: render_svg(IdealPolygon.regular(4)),
+    # an empty spec used to draw with the default one, and a full dict raised AttributeError
+    "write_svg.spec_dict": lambda: write_svg(grow_body(IdealPolygon.regular(4), 1), io.StringIO(), {"canvas": 900}),
+    "render_svg.spec_dict": lambda: render_svg(grow_body(IdealPolygon.regular(4), 1), {"canvas": 900}),
+    "render_svg.spec_empty_dict": lambda: render_svg(grow_body(IdealPolygon.regular(4), 1), {}),
+    "render_svg.spec_empty_list": lambda: render_svg(grow_body(IdealPolygon.regular(4), 1), []),
 }
 
 

@@ -181,20 +181,24 @@ def test_lattice_classes_match_a_brute_force(n, total):
     assert sum(sizes) == len(lattice)
 
 
+GRID_CASES = [(3, 9), (3, 10), (3, 100), (4, 12), (4, 30), (4, 150), (5, 15), (5, 17), (6, 18), (6, 20)]
+
+
 @pytest.mark.parametrize(
-    "n,total",
-    [(3, 9), (3, 10), (3, 100), (4, 12), (4, 30), (4, 150), (5, 15), (5, 17), (6, 18), (6, 20)],
+    "n,total,dump",
+    [pytest.param(n, total, dump, id=f"{n}-{total}" + "-dump" * dump) for dump in (False, True) for n, total in GRID_CASES],
 )
-def test_grid_scan_matches_the_whole_lattice_bit_for_bit(monkeypatch, n, total):
+def test_grid_scan_matches_the_whole_lattice_bit_for_bit(monkeypatch, tmp_path, n, total, dump):
     # totals n divides put the regular point in a class of one; at n = 4 and
     # totals 30 and 150 the best class has two members, so the second-best
-    # value equals the best
+    # value equals the best.  The dump writes every row and changes no field.
     monkeypatch.setattr(extremal, "MAX_GRID_STEP", 1.0)
     rows = np.concatenate(list(extremal._lattice_rows(n, total, (total - 1) // 2))) / total
     values = extremal._objective_batch(rows)
     best, second = (float(v) for v in np.sort(values)[:2])
     regular = minimax_objective(IdealPolygon.regular(n))
-    report = grid_scan(n, 1.0 / total)
+    path = tmp_path / "grid.csv"
+    report = grid_scan(n, 1.0 / total, dump_path=str(path) if dump else None)
     assert report.size == len(rows)
     assert report.best_point == tuple(rows[np.argmin(values)].tolist())
     assert report.best_value == best
@@ -205,6 +209,11 @@ def test_grid_scan_matches_the_whole_lattice_bit_for_bit(monkeypatch, n, total):
         "regular_value": regular,
         "margin_to_regular": best - regular,
     }
+    assert path.exists() == dump
+    if dump:
+        header = ",".join(f"alpha_{k + 1}" for k in range(n)) + ",objective"
+        lines = [",".join(map(repr, row)) for row in np.column_stack([rows, values]).tolist()]
+        assert path.read_text() == "\n".join([header, *lines]) + "\n"
 
 
 def test_grid_scan_lattice_count_matches_brute_force():
@@ -249,19 +258,6 @@ def test_grid_scan_rejects_bad_n():
         grid_scan(9, 1.0 / 100.0)
     with pytest.raises(DomainError, match="integer"):
         grid_scan(4.0, 1.0 / 100.0)
-
-
-def test_grid_scan_dump(tmp_path):
-    path = tmp_path / "grid.csv"
-    report = grid_scan(3, 1.0 / 100.0, dump_path=str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "alpha_1,alpha_2,alpha_3,objective"
-    assert len(lines) == report.size + 1
-    values = [float(v) for v in lines[1].split(",")]
-    assert len(values) == 4
-    assert math.fsum(values[:3]) == pytest.approx(1.0, abs=1e-12)
-    best_row = min(lines[1:], key=lambda ln: float(ln.split(",")[-1]))
-    assert float(best_row.split(",")[-1]) == pytest.approx(report.best_value, abs=1e-15)
 
 
 # --- refinement -----------------------------------------------------------------

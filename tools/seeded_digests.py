@@ -17,7 +17,8 @@ point in a quarter-turn side; last, the ``extremal`` scan at n = 4, step
 1/100, without ``--dump``; and ``grow`` of a seed with three distinct sides
 to 393,216 arcs, a document of many pieces and no repeating block; and
 ``grow --svg`` of a 5-gon rotated by 0.9 turn, whose vertex fractions wrap
-past a full turn.  New commands go last, so the listing of an
+past a full turn; and the n = 4, step 1/150 scan again with ``--dump``, whose
+report must not change with it.  New commands go last, so the listing of an
 older checkout keeps its lines in place.  For each command it prints one line:
 its label, exit code, the SHA-256 of its stdout and the SHA-256 of each
 file it wrote.  Two runs of the same checkout must print
@@ -124,6 +125,7 @@ COMMANDS = [
         ["-m", "hypergon", "grow", "--in", "rot.json", "--generations", "3", "--out", "rot-body.json", "--svg", "rot.svg"],
         ["rot-body.json", "rot.svg"],
     ),
+    ("extremal-n4-150-dump", ["-m", "hypergon", "extremal", "--n", "4", "--grid", "1/150", "--dump", "g4.csv"], ["g4.csv"]),
 ]
 
 
