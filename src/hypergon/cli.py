@@ -36,6 +36,7 @@ from .disk_geometry import (
     check_count,
     check_numbers,
     check_real,
+    check_type,
     invert_on_circle,
 )
 from .errors import ConvergenceError, DomainError, HypergonError, PrecisionError
@@ -84,8 +85,7 @@ def polygon_to_doc(poly: IdealPolygon) -> dict:
 
 
 def polygon_from_doc(doc) -> IdealPolygon:
-    if not isinstance(doc, dict):
-        raise DomainError("polygon document must be a JSON object")
+    check_type(doc, dict, "polygon document must be a JSON object")
     if "angles" not in doc:
         raise DomainError("polygon document must carry an 'angles' array")
     angles = check_numbers(doc["angles"], "angles must be an array of decimals")
@@ -127,8 +127,7 @@ def write_body_json(body: Body, fh) -> None:
     checks, the block search and the head run before the first byte is
     written, so a call that fails leaves the file empty.
     """
-    if not isinstance(body, Body):
-        raise DomainError("write_body_json takes a Body")
+    check_type(body, Body, "write_body_json takes a Body")
     arcs, n = body.boundary_angles, body.base.n
     area, base = euclidean_area(arcs), polygon_to_doc(body.base)
     copies = _repeats(arcs, n)
@@ -206,8 +205,7 @@ class RenderSpec:
 
 def render_spec_from_doc(doc) -> RenderSpec:
     """Figure parameters from a JSON object keyed by ``RenderSpec`` fields."""
-    if not isinstance(doc, dict):
-        raise DomainError("render spec must be a JSON object")
+    check_type(doc, dict, "render spec must be a JSON object")
     unknown = sorted(set(doc) - {f.name for f in fields(RenderSpec)})
     if unknown:
         raise DomainError(f"unknown render spec key '{unknown[0]}'")
@@ -234,12 +232,8 @@ def _cycle_path(verts: list[float], widths: list[float], fmt) -> str:
 def write_svg(body: Body, fh, spec: RenderSpec | None = None) -> None:
     """Write a deterministic SVG of a body to the text file ``fh``: the unit
     circle, then one path per cell, each written as soon as it is formatted."""
-    if not isinstance(body, Body):
-        raise DomainError("write_svg takes a Body")
-    if spec is None:
-        spec = RenderSpec()
-    elif not isinstance(spec, RenderSpec):
-        raise DomainError("write_svg takes a RenderSpec")
+    check_type(body, Body, "write_svg takes a Body")
+    spec = RenderSpec() if spec is None else check_type(spec, RenderSpec, "write_svg takes a RenderSpec")
 
     def fmt(v: float) -> str:
         s = f"{v:.{spec.precision}f}"
@@ -297,7 +291,7 @@ def _cmd_grow(args) -> int:
     with open(args.out, "w") as fh:
         write_body_json(body, fh)
         fh.write("\n")
-    if args.svg:
+    if args.svg is not None:
         with open(args.svg, "w") as fh:
             write_svg(body, fh)
     return EXIT_OK
@@ -406,7 +400,7 @@ def _cmd_render(args) -> int:
     message = "body document must carry a non-negative 'generations'"
     generations = check_count(doc.get("generations"), message, lo=0)
     body = grow_body(poly, generations, _max_sides())
-    spec = render_spec_from_doc(_load_json(args.spec)) if args.spec else RenderSpec()
+    spec = render_spec_from_doc(_load_json(args.spec)) if args.spec is not None else RenderSpec()
     with open(args.out, "w") as fh:
         write_svg(body, fh, spec)
     return EXIT_OK

@@ -36,6 +36,7 @@ from .errors import DomainError, SingularInputError
 # degenerates at both ends of the open interval (0, 1/2).
 ALPHA_MIN = 1e-12
 ALPHA_MAX = 0.5 - ALPHA_MIN
+_WIDTH_MESSAGE = "alpha must be in (0, 0.5)"
 
 # Largest distance of a polygon's angle total (an exact ``fsum``) from 1.
 SUM_TOL = 1e-12
@@ -84,6 +85,7 @@ class PlanePoint:
         return math.hypot(self.x, self.y)
 
     def distance_to(self, other: "PlanePoint") -> float:
+        check_type(other, PlanePoint, "distance_to takes a PlanePoint")
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
@@ -98,8 +100,7 @@ class CirclePoint:
 
     def approx_eq(self, other: "CirclePoint", tol: float = POINT_TOL) -> bool:
         """Identity up to the point tolerance, after modular reduction."""
-        if not isinstance(other, CirclePoint):
-            raise DomainError("can only compare with a CirclePoint")
+        check_type(other, CirclePoint, "can only compare with a CirclePoint")
         tol = check_real(tol, "tolerance must be a finite real >= 0", lo=0.0)
         return frac_distance(self.t, other.t) < tol
 
@@ -118,7 +119,7 @@ class GeodesicSide:
 
     def __post_init__(self):
         a = check_real(self.a, "side start must be a finite real")
-        alpha = check_real(self.alpha, "alpha must be in (0, 0.5)", lo=ALPHA_MIN, hi=ALPHA_MAX)
+        alpha = check_real(self.alpha, _WIDTH_MESSAGE, lo=ALPHA_MIN, hi=ALPHA_MAX)
         object.__setattr__(self, "a", wrap_unit(a))
         object.__setattr__(self, "alpha", alpha)
 
@@ -207,6 +208,20 @@ def check_numbers(values, message: str) -> np.ndarray:
         raise DomainError(message) from exc
 
 
+def check_type(value, types, message: str):
+    """``value`` if it is an instance of ``types``, else DomainError."""
+    if not isinstance(value, types):
+        raise DomainError(message)
+    return value
+
+
+def check_widths(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if every width in it is in [ALPHA_MIN, ALPHA_MAX], else DomainError; NaN is not."""
+    if not np.all((arr >= ALPHA_MIN) & (arr <= ALPHA_MAX)):
+        raise DomainError(_WIDTH_MESSAGE)
+    return arr
+
+
 def unit_point(t: float) -> PlanePoint:
     """Cartesian coordinates of the boundary point at turn fraction ``t``."""
     phi = _TWO_PI * check_real(t, "turn fraction must be a finite real")
@@ -220,7 +235,7 @@ def side_circle(side: GeodesicSide) -> OrthoCircle:
     and radius ``tan(pi*alpha)`` make the circle orthogonal to the unit
     circle through the side's endpoints.
     """
-    half = math.pi * side.alpha
+    half = math.pi * check_type(side, GeodesicSide, "side_circle takes a GeodesicSide").alpha
     return OrthoCircle(
         center_arg=side.midpoint,
         center_dist=1.0 / math.cos(half),
@@ -239,6 +254,7 @@ def invert_on_circle(beta: float, side: GeodesicSide) -> float:
     directly.  The side's endpoints are fixed points of the map.
     """
     beta = wrap_unit(check_real(beta, "beta must be a finite real"))
+    check_type(side, GeodesicSide, "invert_on_circle takes a GeodesicSide")
     d = wrap_signed(beta - side.midpoint)
     if d == 0.0:
         return wrap_unit(side.midpoint + 0.5)
@@ -258,14 +274,15 @@ def invert_on_circle(beta: float, side: GeodesicSide) -> float:
 def invert_fractions(beta, a, alpha):
     """Vectorized :func:`invert_on_circle` on raw turn fractions.
 
-    ``beta``, ``a`` and ``alpha`` broadcast together; the two branches and
-    the midpoint case collapse, modulo one turn, into a single two-argument
-    arctangent expression, which is what is evaluated here.  Returns an
-    ndarray (or scalar) of fractions in [0, 1).
+    ``beta``, ``a`` and ``alpha`` are numbers or arrays of numbers (not
+    text or bools) that broadcast together, every ``alpha`` inside the
+    clamp; the two branches and the midpoint case collapse, modulo one turn,
+    into a single two-argument arctangent expression, which is what is
+    evaluated here.  Returns an ndarray (or scalar) of fractions in [0, 1).
     """
-    beta = np.asarray(beta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
+    beta = check_numbers(beta, "beta must be a number")
+    a = check_numbers(a, "side start must be a number")
+    alpha = check_widths(check_numbers(alpha, "alpha must be a number"))
     d = beta - (a + 0.5 * alpha)
     d = d - np.rint(d)
     dist = np.abs(d)
@@ -282,7 +299,8 @@ def invert_euclidean(p: PlanePoint, circle: OrthoCircle) -> PlanePoint:
     ``|center - p| * |center - image| == radius**2``.  Applying the map
     twice is the identity.
     """
-    c = circle.center
+    check_type(p, PlanePoint, "invert_euclidean inverts a PlanePoint")
+    c = check_type(circle, OrthoCircle, "invert_euclidean inverts in an OrthoCircle").center
     dx = p.x - c.x
     dy = p.y - c.y
     dist2 = dx * dx + dy * dy

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, check_real, invert_fractions
+from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, check_real, check_type, invert_fractions
 from .errors import ConvergenceError, DomainError, UnknownSuiteError
 from .measures import MAJORIZATION_SLACK, _prefix_margins, _sorted_spectra, area_upper_bound
 from .measures import euclidean_area, side_region_area
@@ -212,8 +212,7 @@ def minimax_objective(p: IdealPolygon) -> float:
     the widths in the other order, so about half the values change, by up to
     1e-15 relative.
     """
-    if not isinstance(p, IdealPolygon):
-        raise DomainError("minimax_objective takes an IdealPolygon")
+    check_type(p, IdealPolygon, "minimax_objective takes an IdealPolygon")
     return float(_objective_batch(np.asarray(p.angles)[None, :])[0])
 
 
@@ -230,8 +229,7 @@ def sample_simplex(
     """
     n = check_count(n, "need an integer n >= 3", lo=3)
     count = check_count(count, "need a non-negative integer count", lo=0)
-    if not isinstance(rng, np.random.Generator):
-        raise DomainError("sample_simplex draws from a numpy Generator, not a seed")
+    check_type(rng, np.random.Generator, "sample_simplex draws from a numpy Generator, not a seed")
     message = "floor must be at least the clamp and below 1/n"
     floor = check_real(floor, message, lo=ALPHA_MIN)
     if floor >= 1.0 / n:
@@ -334,8 +332,7 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     if step > MAX_GRID_STEP:
         raise DomainError("grid step too coarse")
     # open() would take an integer as a file descriptor, and close it
-    if dump_path is not None and not isinstance(dump_path, (str, os.PathLike)):
-        raise DomainError("dump path must be a path")
+    check_type(dump_path, (str, os.PathLike, type(None)), "dump path must be a path")
     total = round(1.0 / step)
     if abs(total * step - 1.0) > 1e-9:
         raise DomainError("grid step must divide a full turn")
@@ -346,7 +343,7 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
     best_val = second_val = np.inf
     best_row = None
     count = 0
-    with open(dump_path, "w") if dump_path else nullcontext() as dump:  # a bad path fails before the scan
+    with open(dump_path, "w") if dump_path is not None else nullcontext() as dump:  # a bad path fails before the scan
         for points, sizes in _lattice_classes(n, total, m_max):
             points /= total  # each block is a fresh array: divide it in place
             vals = _objective_batch(points)
@@ -409,8 +406,7 @@ def refine_minimum(start: IdealPolygon, tol: float = 1e-10) -> tuple[IdealPolygo
     below ``tol``; restarts the descent from the incumbent a few times to
     escape premature collapse.  Deterministic given the start.
     """
-    if not isinstance(start, IdealPolygon):
-        raise DomainError("refine_minimum starts from an IdealPolygon")
+    check_type(start, IdealPolygon, "refine_minimum starts from an IdealPolygon")
     tol = check_real(tol, TOL_MESSAGE, lo=1e-12)
     n = start.n
     lo, hi = ALPHA_MIN, ALPHA_MAX

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, check_numbers
+from .disk_geometry import check_count, check_numbers, check_type, check_widths
 from .errors import DomainError
 from .polygon import IdealPolygon, _validate_angles
 
@@ -51,8 +51,7 @@ def side_region_area(alpha):
     arr = check_numbers(alpha, "alpha must be a number")
     if arr.size == 0:
         raise DomainError("alpha must not be empty")
-    if not np.all((arr >= ALPHA_MIN) & (arr <= ALPHA_MAX)):  # NaN fails too
-        raise DomainError("alpha must be in (0, 0.5)")
+    check_widths(arr)
     t = np.tan(np.pi * arr)
     out = np.atleast_1d(t * (1.0 - np.pi * t * (0.5 - arr)))
     # that form cancels near 1/2; there F = cot(x) (1 - x cot x) with x =
@@ -146,8 +145,7 @@ def hyperbolic_area_quadrature(poly: IdealPolygon) -> float:
     order.  Each term is within 1e-15 relative of ``pi*(1 - 2w)/4`` for
     widths up to 0.45 and within 2e-15 absolute above.
     """
-    if not isinstance(poly, IdealPolygon):
-        raise DomainError("hyperbolic_area_quadrature takes an IdealPolygon")
+    check_type(poly, IdealPolygon, "hyperbolic_area_quadrature takes an IdealPolygon")
     # not sum(): from CPython 3.12 it compensates, which would change bytes
     total = 0.0
     for w in poly.angles:
@@ -204,8 +202,7 @@ def majorizes(x: AngleSpectrum, y: AngleSpectrum) -> bool:
     Requires equal lengths and equal totals (within ``TOTAL_TOL``); prefix
     sums are compared with ``MAJORIZATION_SLACK`` so exact ties pass.
     """
-    if not (isinstance(x, AngleSpectrum) and isinstance(y, AngleSpectrum)):
-        raise DomainError("majorization compares two AngleSpectrum values")
+    x, y = (check_type(v, AngleSpectrum, "majorization compares two AngleSpectrum values") for v in (x, y))
     if len(x) != len(y):
         raise DomainError("spectra must have equal length")
     if abs(x.total - y.total) > TOTAL_TOL:
@@ -221,6 +218,5 @@ def schur_concave_sum(spectrum: AngleSpectrum) -> float:
     For the spectrum of a polygon's inverted-angle table this equals the
     Euclidean area of the first-generation body.
     """
-    if not isinstance(spectrum, AngleSpectrum):
-        raise DomainError("schur_concave_sum takes an AngleSpectrum")
+    check_type(spectrum, AngleSpectrum, "schur_concave_sum takes an AngleSpectrum")
     return float(np.sum(side_region_area(spectrum.values)))

@@ -29,8 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .disk_geometry import (
-    ALPHA_MAX,
-    ALPHA_MIN,
     POINT_TOL,
     SUM_TOL,
     CirclePoint,
@@ -38,6 +36,8 @@ from .disk_geometry import (
     check_count,
     check_numbers,
     check_real,
+    check_type,
+    check_widths,
     invert_fractions,  # noqa: F401  re-exported: perfbench's tracer wraps it here
     invert_on_circle,
     wrap_unit,
@@ -61,10 +61,8 @@ def _angle_vector(angles) -> np.ndarray:
 
 
 def _validate_angles(angles) -> np.ndarray:
-    """Flat float vector of >= 3 angles in [ALPHA_MIN, ALPHA_MAX] whose fsum is within SUM_TOL of 1."""
-    arr = _angle_vector(angles)
-    if not np.all((arr >= ALPHA_MIN) & (arr <= ALPHA_MAX)):
-        raise DomainError("alpha must be in (0, 0.5)")
+    """Flat float vector of >= 3 angles inside the width clamp whose fsum is within SUM_TOL of 1."""
+    arr = check_widths(_angle_vector(angles))
     if abs(math.fsum(arr.tolist()) - 1.0) > SUM_TOL:
         raise DomainError("angles must sum to 1")
     return arr
@@ -95,8 +93,7 @@ class IdealPolygon:
 
 def vertex_fractions(poly: IdealPolygon) -> np.ndarray:
     """Vertex turn fractions in polygon order, reduced mod 1."""
-    if not isinstance(poly, IdealPolygon):
-        raise DomainError("vertex_fractions takes an IdealPolygon")
+    check_type(poly, IdealPolygon, "vertex_fractions takes an IdealPolygon")
     sums = np.concatenate(([0.0], np.cumsum(poly.angles)[:-1]))
     return (poly.rotation + sums) % 1.0
 
@@ -124,8 +121,7 @@ def reflect_polygon(vertex_cycle, j: int) -> tuple[CirclePoint, ...]:
     cycle), the same geodesic is used via the complementary arc.
     """
     message = "a vertex cycle holds circle points or turn fractions"
-    if not isinstance(vertex_cycle, (Sequence, np.ndarray)):
-        raise DomainError(message)
+    check_type(vertex_cycle, (Sequence, np.ndarray), message)
     points = [p.t if isinstance(p, CirclePoint) else p for p in vertex_cycle]
     ts = check_numbers(points, message)
     if ts.ndim != 1 or ts.size < 3:
@@ -267,8 +263,7 @@ def angle_tables(angle_rows: np.ndarray) -> np.ndarray:
 
 def inverted_angle_matrix(poly: IdealPolygon) -> InvertedAngleMatrix:
     """The table of inverted side angles of a polygon."""
-    if not isinstance(poly, IdealPolygon):
-        raise DomainError("inverted_angle_matrix takes an IdealPolygon")
+    check_type(poly, IdealPolygon, "inverted_angle_matrix takes an IdealPolygon")
     return InvertedAngleMatrix(poly.n, angle_tables(poly.angles)[0])
 
 
@@ -383,8 +378,7 @@ def grow_body(poly: IdealPolygon, s: int, max_sides: int = DEFAULT_MAX_SIDES) ->
     order, rotated once to start at the smallest fraction; nothing is
     sorted.  Grown arcs keep their relative precision.
     """
-    if not isinstance(poly, IdealPolygon):
-        raise DomainError("grow_body takes an IdealPolygon")
+    check_type(poly, IdealPolygon, "grow_body takes an IdealPolygon")
     s = check_count(s, "generation count must be a non-negative integer", lo=0)
     max_sides = check_count(max_sides, "side cap must be a positive integer", lo=1)
     n = poly.n

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hypergon.cli
+import hypergon.extremal
 from hypergon.cli import (
     RenderSpec,
     body_to_doc,
@@ -804,6 +805,24 @@ def test_cmd_render_rejects_boolean_generations(tmp_path, capsys):
     assert main(["render", "--in", str(path), "--out", str(fig)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-negative 'generations'" in err
+    assert not fig.exists()
+
+
+@pytest.mark.parametrize("command", ["extremal --dump", "grow --svg", "render --spec"])
+def test_an_empty_path_is_an_io_error(tmp_path, monkeypatch, capsys, command):
+    # an empty path cannot be opened, like any other such path; it is not a missing option
+    src = write_polygon(tmp_path / "d3.json", [1 / 3] * 3)
+    body_path, fig = tmp_path / "b.json", tmp_path / "f.svg"
+    assert main(["grow", "--in", str(src), "--generations", "1", "--out", str(body_path)]) == 0
+    monkeypatch.setattr(hypergon.extremal, "_lattice_classes", None)  # --dump fails before the scan
+    argv = {
+        "extremal --dump": ["extremal", "--n", "3", "--grid", "1/100", "--dump", ""],
+        "grow --svg": ["grow", "--in", str(src), "--generations", "1", "--out", str(body_path), "--svg", ""],
+        "render --spec": ["render", "--in", str(body_path), "--out", str(fig), "--spec", ""],
+    }[command]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("i/o error: ")
     assert not fig.exists()
 
 

@@ -9,6 +9,7 @@ vector or a side width applies the same clamp and the same sum test.
 
 import io
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,8 @@ from hypergon import (
     hyperbolic_area_ideal,
     hyperbolic_area_quadrature,
     inverse_distance,
+    invert_euclidean,
+    invert_fractions,
     invert_on_circle,
     inverted_angle_matrix,
     is_regular,
@@ -44,12 +47,22 @@ from hypergon import (
     sample_simplex,
     schur_concave_sum,
     side,
+    side_circle,
     side_region_area,
     unit_point,
     vertex_fractions,
     vertices,
 )
-from hypergon.cli import RenderSpec, body_to_json, main, polygon_from_doc, render_svg, write_body_json, write_svg
+from hypergon.cli import (
+    RenderSpec,
+    body_to_json,
+    main,
+    polygon_from_doc,
+    render_spec_from_doc,
+    render_svg,
+    write_body_json,
+    write_svg,
+)
 from hypergon.disk_geometry import ALPHA_MAX, ALPHA_MIN, SUM_TOL
 from hypergon.errors import DomainError, UnknownSuiteError
 from hypergon.polygon import _regular_rows
@@ -207,6 +220,7 @@ def test_clamp_ends_agree_across_entry_points():
     for alpha in (ALPHA_MIN, ALPHA_MAX):
         GeodesicSide(0.0, alpha)
         assert side_region_area(alpha) > 0.0
+        assert 0.0 <= invert_fractions(0.3, 0.0, alpha) < 1.0
     for angles in ([below, ALPHA_MAX, 0.25, 0.25], [ALPHA_MIN, above, 0.25, 0.25]):
         for check in (IdealPolygon, euclidean_area):
             with pytest.raises(DomainError, match=r"alpha must be in \(0, 0.5\)"):
@@ -217,6 +231,8 @@ def test_clamp_ends_agree_across_entry_points():
             GeodesicSide(0.0, alpha)
         with pytest.raises(DomainError, match=r"alpha must be in \(0, 0.5\)"):
             side_region_area(alpha)
+        with pytest.raises(DomainError, match=r"alpha must be in \(0, 0.5\)"):
+            invert_fractions(0.3, 0.0, alpha)
 
 
 def test_simplex_point_is_a_polygon_at_rotation_zero():
@@ -279,39 +295,99 @@ def test_spectra_reject_text(build, values):
         build(values)
 
 
+IDEAL = "takes an IdealPolygon"
+BODY = "write_svg takes a Body"
+SPEC = "write_svg takes a RenderSpec"
+
+# each call and the message its DomainError carries
 OPERAND_TAKERS = {
-    "CirclePoint.approx_eq.float": lambda: CirclePoint(0.1).approx_eq(0.1),
-    "CirclePoint.approx_eq.None": lambda: CirclePoint(0.1).approx_eq(None),
-    "majorizes.lists": lambda: majorizes([0.5, 0.3, 0.2], [0.4, 0.4, 0.2]),
-    "majorizes.list": lambda: majorizes(decreasing_rearrangement([0.5, 0.3, 0.2]), [0.4, 0.4, 0.2]),
-    "schur_concave_sum.list": lambda: schur_concave_sum([0.5, 0.3, 0.2]),
-    "refine_minimum.tuple": lambda: refine_minimum((0.25,) * 4),
-    "minimax_objective.tuple": lambda: minimax_objective((0.25,) * 4),
-    "grow_body.tuple": lambda: grow_body((0.25,) * 4, 1),
-    "hyperbolic_area_quadrature.tuple": lambda: hyperbolic_area_quadrature((0.25,) * 4),
-    "inverted_angle_matrix.tuple": lambda: inverted_angle_matrix((0.25,) * 4),
-    "max_inverted_angle.tuple": lambda: max_inverted_angle((0.25,) * 4),
-    "grid_scan.dump_path.fd": lambda: grid_scan(3, 0.01, dump_path=1),
-    "sample_simplex.seed": lambda: sample_simplex(4, 3, 7),
-    "vertex_fractions.tuple": lambda: vertex_fractions((0.25,) * 4),
-    "vertices.tuple": lambda: vertices((0.25,) * 4),
-    "side.tuple": lambda: side((0.25,) * 4, 1),
-    "write_body_json.polygon": lambda: write_body_json(IdealPolygon.regular(4), io.StringIO()),
-    "body_to_json.polygon": lambda: body_to_json(IdealPolygon.regular(4)),
-    "write_svg.polygon": lambda: write_svg(IdealPolygon.regular(4), io.StringIO()),
-    "render_svg.polygon": lambda: render_svg(IdealPolygon.regular(4)),
+    "CirclePoint.approx_eq.float": (lambda: CirclePoint(0.1).approx_eq(0.1), "can only compare with a CirclePoint"),
+    "CirclePoint.approx_eq.None": (lambda: CirclePoint(0.1).approx_eq(None), "can only compare with a CirclePoint"),
+    "PlanePoint.distance_to.tuple": (lambda: PlanePoint(0, 0).distance_to((1, 1)), "distance_to takes a PlanePoint"),
+    "invert_on_circle.tuple": (lambda: invert_on_circle(0.3, (0.0, 0.25)), "invert_on_circle takes a GeodesicSide"),
+    "side_circle.tuple": (lambda: side_circle((0.0, 0.25)), "side_circle takes a GeodesicSide"),
+    "invert_euclidean.point_tuple": (
+        lambda: invert_euclidean((0.5, 0.5), OrthoCircle(0.0, 2.0, 1.0)),
+        "invert_euclidean inverts a PlanePoint",
+    ),
+    "invert_euclidean.circle_tuple": (
+        lambda: invert_euclidean(PlanePoint(0.5, 0.5), (0.0, 2.0, 1.0)),
+        "invert_euclidean inverts in an OrthoCircle",
+    ),
+    "majorizes.lists": (
+        lambda: majorizes([0.5, 0.3, 0.2], [0.4, 0.4, 0.2]),
+        "majorization compares two AngleSpectrum values",
+    ),
+    "majorizes.list": (
+        lambda: majorizes(decreasing_rearrangement([0.5, 0.3, 0.2]), [0.4, 0.4, 0.2]),
+        "majorization compares two AngleSpectrum values",
+    ),
+    "schur_concave_sum.list": (lambda: schur_concave_sum([0.5, 0.3, 0.2]), "schur_concave_sum takes an AngleSpectrum"),
+    "refine_minimum.tuple": (lambda: refine_minimum((0.25,) * 4), "refine_minimum starts from an IdealPolygon"),
+    "minimax_objective.tuple": (lambda: minimax_objective((0.25,) * 4), "minimax_objective " + IDEAL),
+    "grow_body.tuple": (lambda: grow_body((0.25,) * 4, 1), "grow_body " + IDEAL),
+    "hyperbolic_area_quadrature.tuple": (
+        lambda: hyperbolic_area_quadrature((0.25,) * 4),
+        "hyperbolic_area_quadrature " + IDEAL,
+    ),
+    "inverted_angle_matrix.tuple": (lambda: inverted_angle_matrix((0.25,) * 4), "inverted_angle_matrix " + IDEAL),
+    "max_inverted_angle.tuple": (lambda: max_inverted_angle((0.25,) * 4), "inverted_angle_matrix " + IDEAL),
+    "grid_scan.dump_path.fd": (lambda: grid_scan(3, 0.01, dump_path=1), "dump path must be a path"),
+    "sample_simplex.seed": (
+        lambda: sample_simplex(4, 3, 7),
+        "sample_simplex draws from a numpy Generator, not a seed",
+    ),
+    "vertex_fractions.tuple": (lambda: vertex_fractions((0.25,) * 4), "vertex_fractions " + IDEAL),
+    "vertices.tuple": (lambda: vertices((0.25,) * 4), "vertex_fractions " + IDEAL),
+    "side.tuple": (lambda: side((0.25,) * 4, 1), "vertex_fractions " + IDEAL),
+    "reflect_polygon.set": (
+        lambda: reflect_polygon({0.0, 0.25, 0.5}, 1),
+        "a vertex cycle holds circle points or turn fractions",
+    ),
+    "polygon_from_doc.list": (lambda: polygon_from_doc([0.25] * 4), "polygon document must be a JSON object"),
+    "render_spec_from_doc.list": (lambda: render_spec_from_doc([720]), "render spec must be a JSON object"),
+    "write_body_json.polygon": (
+        lambda: write_body_json(IdealPolygon.regular(4), io.StringIO()),
+        "write_body_json takes a Body",
+    ),
+    "body_to_json.polygon": (lambda: body_to_json(IdealPolygon.regular(4)), "write_body_json takes a Body"),
+    "write_svg.polygon": (lambda: write_svg(IdealPolygon.regular(4), io.StringIO()), BODY),
+    "render_svg.polygon": (lambda: render_svg(IdealPolygon.regular(4)), BODY),
     # an empty spec used to draw with the default one, and a full dict raised AttributeError
-    "write_svg.spec_dict": lambda: write_svg(grow_body(IdealPolygon.regular(4), 1), io.StringIO(), {"canvas": 900}),
-    "render_svg.spec_dict": lambda: render_svg(grow_body(IdealPolygon.regular(4), 1), {"canvas": 900}),
-    "render_svg.spec_empty_dict": lambda: render_svg(grow_body(IdealPolygon.regular(4), 1), {}),
-    "render_svg.spec_empty_list": lambda: render_svg(grow_body(IdealPolygon.regular(4), 1), []),
+    "write_svg.spec_dict": (
+        lambda: write_svg(grow_body(IdealPolygon.regular(4), 1), io.StringIO(), {"canvas": 900}),
+        SPEC,
+    ),
+    "render_svg.spec_dict": (lambda: render_svg(grow_body(IdealPolygon.regular(4), 1), {"canvas": 900}), SPEC),
+    "render_svg.spec_empty_dict": (lambda: render_svg(grow_body(IdealPolygon.regular(4), 1), {}), SPEC),
+    "render_svg.spec_empty_list": (lambda: render_svg(grow_body(IdealPolygon.regular(4), 1), []), SPEC),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPERAND_TAKERS))
 def test_operands_must_have_the_right_type(name):
-    with pytest.raises(DomainError):
-        OPERAND_TAKERS[name]()
+    call, message = OPERAND_TAKERS[name]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("0.3", "0", "0.25"), "beta must be a number"),
+        ((True, 0, 0.25), "beta must be a number"),
+        ((np.array([0.3, 0.6]), b"0", 0.25), "side start must be a number"),
+        ((0.3, [0.0, False], 0.25), "side start must be a number"),
+        ((0.3, 0, "0.25"), "alpha must be a number"),
+        ((0.3, 0, 0.7), "alpha must be in (0, 0.5)"),
+        ((0.3, 0, [0.25, math.nan]), "alpha must be in (0, 0.5)"),
+    ],
+    ids=["str", "bool", "bytes-start", "bool-among-starts", "str-width", "wide", "nan-width"],
+)
+def test_invert_fractions_takes_numbers_and_clamped_widths(args, message):
+    # invert_on_circle refuses each of these through its scalar and GeodesicSide checks
+    with pytest.raises(DomainError, match=re.escape(message)):
+        invert_fractions(*args)
 
 
 def test_side_region_area_names_empty_input():

@@ -248,6 +248,13 @@ def test_grid_scan_rejects_a_step_that_is_not_a_positive_number(step):
         grid_scan(4, step)
 
 
+def test_grid_scan_opens_an_empty_dump_path_before_the_scan(monkeypatch):
+    # an empty path used to read as no path: the scan ran and nothing was written
+    monkeypatch.setattr(extremal, "_lattice_classes", None)
+    with pytest.raises(FileNotFoundError):
+        grid_scan(3, 0.01, dump_path="")
+
+
 def test_grid_scan_rejects_non_divisor_step():
     with pytest.raises(DomainError):
         grid_scan(4, 1.0 / 100.5)

@@ -11,7 +11,9 @@ the failed or errored tests are exactly those two and no test is skipped;
 any other failure, a collection error, one of the two passing, or a skipped
 test (the 40-digit oracle tests skip when mpmath is missing, which would
 leave the precision claims unchecked) exits 1, naming each such test.  The
-result line ends with the wall time of the pytest run, in seconds.
+result line ends with the wall time of the pytest run, in seconds, and the
+line count of ``src/hypergon/*.py`` (what ``cat src/hypergon/*.py | wc -l``
+prints), the size of the library.  CI reads only the exit status.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ def marked_tests(report: Path, *marks: str) -> set[str]:
     return names
 
 
+def src_lines() -> int:
+    """Newlines in ``src/hypergon/*.py``, which is what ``wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "hypergon").glob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -51,14 +58,14 @@ def main(argv: list[str]) -> int:
         ]
         t0 = time.perf_counter()
         proc = subprocess.run(cmd, cwd=ROOT, env=env)
-        wall = f"pytest wall {time.perf_counter() - t0:.1f} s"
+        summary = f"pytest wall {time.perf_counter() - t0:.1f} s; src {src_lines():,} lines"
         if not report.exists():
-            print(f"tier1: pytest wrote no report (exit {proc.returncode}); {wall}", file=sys.stderr)
+            print(f"tier1: pytest wrote no report (exit {proc.returncode}); {summary}", file=sys.stderr)
             return 1
         failed = marked_tests(report, "failure", "error")
         skipped = marked_tests(report, "skipped")
     if failed == EXPECTED_FAILURES and not skipped:
-        print(f"tier1: OK, only the two expected failures and no skipped test; {wall}")
+        print(f"tier1: OK, only the two expected failures and no skipped test; {summary}")
         return 0
     for name in sorted(failed - EXPECTED_FAILURES):
         print(f"tier1: unexpected failure: {name}", file=sys.stderr)
@@ -66,7 +73,7 @@ def main(argv: list[str]) -> int:
         print(f"tier1: expected failure did not fail: {name}", file=sys.stderr)
     for name in sorted(skipped):
         print(f"tier1: skipped: {name}", file=sys.stderr)
-    print(f"tier1: FAILED; {wall}", file=sys.stderr)
+    print(f"tier1: FAILED; {summary}", file=sys.stderr)
     return 1
 
 
