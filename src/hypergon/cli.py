@@ -19,6 +19,7 @@ Polygon and body documents are JSON; angles are decimal turn fractions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -288,12 +289,14 @@ def _cmd_invert(args) -> int:
 def _cmd_grow(args) -> int:
     poly = polygon_from_doc(_load_json(args.infile))
     body = grow_body(poly, args.generations, _max_sides())
-    with open(args.out, "w") as fh:
+    # open every output before writing any, so a path that cannot be opened writes no result
+    with open(args.out, "w") as fh, (open(args.svg, "w") if args.svg is not None else contextlib.nullcontext()) as svg:
+        if svg is not None and os.path.sameopenfile(fh.fileno(), svg.fileno()):
+            raise DomainError("--out and --svg must name different files")
         write_body_json(body, fh)
         fh.write("\n")
-    if args.svg is not None:
-        with open(args.svg, "w") as fh:
-            write_svg(body, fh)
+        if svg is not None:
+            write_svg(body, svg)
     return EXIT_OK
 
 

@@ -11,9 +11,9 @@ from the origin, in the direction of the arc midpoint, with radius
 Two independent routes to the same reflection are provided and cross-checked
 by the test suite:
 
-* :func:`invert_on_circle` stays on the unit circle and evaluates a closed
-  form for the argument of the inverted point, split into the two published
-  branches around the arc midpoint;
+* :func:`invert_fractions` (one point: :func:`invert_on_circle`) stays on the
+  unit circle; the argument of the inverted point is one two-argument
+  arctangent, into which the paper's two sign branches collapse mod one turn;
 * :func:`invert_euclidean` is plain Euclidean inversion of Cartesian points
   in an arbitrary circle (``|OP| * |OP'| = r**2`` along the ray from the
   center), with :func:`inverse_distance` giving the induced distance law.
@@ -208,6 +208,13 @@ def check_numbers(values, message: str) -> np.ndarray:
         raise DomainError(message) from exc
 
 
+def check_finite(arr: np.ndarray, message: str) -> np.ndarray:
+    """``arr`` if every entry in it is finite, else DomainError; NaN is not."""
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(message)
+    return arr
+
+
 def check_type(value, types, message: str):
     """``value`` if it is an instance of ``types``, else DomainError."""
     if not isinstance(value, types):
@@ -246,47 +253,31 @@ def side_circle(side: GeodesicSide) -> OrthoCircle:
 def invert_on_circle(beta: float, side: GeodesicSide) -> float:
     """Turn fraction of the inversion of ``exp(2*pi*i*beta)`` across a side.
 
-    Let ``d`` be ``beta`` minus the arc midpoint, reduced to (-1/2, 1/2].
-    The two published argument formulas (one per sign of ``d``) are applied
-    with a two-argument arctangent so the endpoint case, where the
-    denominator vanishes, resolves to a quarter turn; at ``d == 0`` both
-    branches coincide at the antipode of the midpoint, which is returned
-    directly.  The side's endpoints are fixed points of the map.
+    The one-point form of :func:`invert_fractions`, reduced to [0, 1); the
+    side's endpoints are fixed points of the map.
     """
-    beta = wrap_unit(check_real(beta, "beta must be a finite real"))
+    beta = check_real(beta, "beta must be a finite real")
     check_type(side, GeodesicSide, "invert_on_circle takes a GeodesicSide")
-    d = wrap_signed(beta - side.midpoint)
-    if d == 0.0:
-        return wrap_unit(side.midpoint + 0.5)
-    num = math.sin(_TWO_PI * abs(d))
-    # cos(pi alpha) - cos(2 pi d) as a product: on a narrow side both
-    # cosines round to 1 and their difference keeps no digit
-    half = 0.5 * side.alpha
-    den = 2.0 * math.sin(math.pi * (abs(d) + half)) * math.sin(math.pi * (abs(d) - half))
-    gap = math.atan2(num, den) / math.pi
-    if d > 0.0:
-        x = beta - 0.5 + gap
-    else:
-        x = beta + 0.5 - gap
-    return wrap_unit(x)
+    return wrap_unit(float(invert_fractions(beta, side.a, side.alpha)))
 
 
 def invert_fractions(beta, a, alpha):
-    """Vectorized :func:`invert_on_circle` on raw turn fractions.
+    """Turn fractions of the inversions of ``exp(2*pi*i*beta)`` across sides ``(a, alpha)``.
 
-    ``beta``, ``a`` and ``alpha`` are numbers or arrays of numbers (not
+    ``beta``, ``a`` and ``alpha`` are finite numbers or arrays of them (not
     text or bools) that broadcast together, every ``alpha`` inside the
-    clamp; the two branches and the midpoint case collapse, modulo one turn,
-    into a single two-argument arctangent expression, which is what is
-    evaluated here.  Returns an ndarray (or scalar) of fractions in [0, 1).
+    clamp.  One two-argument arctangent gives each image; where its
+    denominator vanishes, at the side's endpoints, it takes a quarter turn.
+    Returns an ndarray (or scalar) of fractions reduced mod 1.
     """
-    beta = check_numbers(beta, "beta must be a number")
-    a = check_numbers(a, "side start must be a number")
+    beta = check_finite(check_numbers(beta, "beta must be a number"), "beta must be a finite real")
+    a = check_finite(check_numbers(a, "side start must be a number"), "side start must be a finite real")
     alpha = check_widths(check_numbers(alpha, "alpha must be a number"))
     d = beta - (a + 0.5 * alpha)
     d = d - np.rint(d)
     dist = np.abs(d)
-    # the product form of the denominator, as in invert_on_circle
+    # cos(pi alpha) - cos(2 pi d) as a product: on a narrow side both
+    # cosines round to 1 and their difference keeps no digit
     den = 2.0 * np.sin(np.pi * (dist + 0.5 * alpha)) * np.sin(np.pi * (dist - 0.5 * alpha))
     gap = np.arctan2(np.sin(_TWO_PI * d), den)
     return (beta + 0.5 + gap / np.pi) % 1.0

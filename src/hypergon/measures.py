@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk_geometry import check_count, check_numbers, check_type, check_widths
+from .disk_geometry import check_count, check_finite, check_numbers, check_type, check_widths
 from .errors import DomainError
 from .polygon import IdealPolygon, _validate_angles
 
@@ -163,8 +163,9 @@ class AngleSpectrum:
         arr = check_numbers(self.values, "spectrum values must be numbers")
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("spectrum must be a non-empty flat vector")
-        if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-            raise DomainError("spectrum values must be positive reals")
+        message = "spectrum values must be positive reals"
+        if np.any(check_finite(arr, message) <= 0.0):
+            raise DomainError(message)
         if np.any(np.diff(arr) > 0.0):
             raise DomainError("spectrum values must be sorted decreasing")
         object.__setattr__(self, "values", arr)

@@ -34,12 +34,13 @@ from .disk_geometry import (
     CirclePoint,
     GeodesicSide,
     check_count,
+    check_finite,
     check_numbers,
     check_real,
     check_type,
     check_widths,
-    invert_fractions,  # noqa: F401  re-exported: perfbench's tracer wraps it here
-    invert_on_circle,
+    invert_fractions,
+    invert_on_circle,  # noqa: F401  re-exported: perfbench's tracer wraps it here
     wrap_unit,
 )
 from .errors import DepthLimitError, DomainError, PrecisionError
@@ -123,7 +124,7 @@ def reflect_polygon(vertex_cycle, j: int) -> tuple[CirclePoint, ...]:
     message = "a vertex cycle holds circle points or turn fractions"
     check_type(vertex_cycle, (Sequence, np.ndarray), message)
     points = [p.t if isinstance(p, CirclePoint) else p for p in vertex_cycle]
-    ts = check_numbers(points, message)
+    ts = check_finite(check_numbers(points, message), message)
     if ts.ndim != 1 or ts.size < 3:
         raise DomainError("a vertex cycle needs at least 3 points")
     gaps = np.diff(np.concatenate([ts, ts[:1]])) % 1.0
@@ -135,10 +136,8 @@ def reflect_polygon(vertex_cycle, j: int) -> tuple[CirclePoint, ...]:
     e = ts[j % n]
     w = (e - a) % 1.0
     geo = GeodesicSide(e, 1.0 - w) if w > 0.5 else GeodesicSide(a, w)
-    out = [float(a), float(e)]
-    for i, t in enumerate(ts):
-        if i not in (j - 1, j % n):
-            out.append(invert_on_circle(float(t), geo))
+    rest = np.delete(ts, [j - 1, j % n])
+    out = [float(a), float(e), *invert_fractions(rest, geo.a, geo.alpha).tolist()]
     out.sort(key=lambda t: (t - a) % 1.0)
     return tuple(CirclePoint(t) for t in out)
 

@@ -375,6 +375,30 @@ def test_cmd_grow_writes_svg(tmp_path):
     assert svg.read_text() == render_svg(grow_body(IdealPolygon((1 / 3,) * 3), 2))
 
 
+@pytest.mark.parametrize("bad", ["--svg", "--out"])
+def test_cmd_grow_writes_no_result_when_an_output_cannot_be_opened(tmp_path, capsys, bad):
+    # every output is opened before any is written; a file opened first may be left empty
+    src = write_polygon(tmp_path / "p.json", [0.3, 0.3, 0.4])
+    paths = {"--out": tmp_path / "b.json", "--svg": tmp_path / "f.svg"}
+    paths[bad] = tmp_path / "nodir" / paths[bad].name
+    argv = ["grow", "--in", str(src), "--generations", "1"]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    for path in paths.values():
+        assert not path.exists() or path.stat().st_size == 0
+
+
+def test_cmd_grow_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    # two handles on one file would interleave the document and the figure
+    src = write_polygon(tmp_path / "p.json", [0.3, 0.3, 0.4])
+    out = tmp_path / "x.out"
+    assert main(["grow", "--in", str(src), "--generations", "1", "--out", str(out), "--svg", str(out)]) == 1
+    assert "--out and --svg must name different files" in capsys.readouterr().err
+    assert out.stat().st_size == 0
+
+
 # --- area ------------------------------------------------------------------
 
 

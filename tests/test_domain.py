@@ -381,8 +381,15 @@ def test_operands_must_have_the_right_type(name):
         ((0.3, 0, "0.25"), "alpha must be a number"),
         ((0.3, 0, 0.7), "alpha must be in (0, 0.5)"),
         ((0.3, 0, [0.25, math.nan]), "alpha must be in (0, 0.5)"),
+        ((math.nan, 0.0, 0.25), "beta must be a finite real"),
+        ((np.array([0.3, math.inf]), 0.0, 0.25), "beta must be a finite real"),
+        ((0.3, [0.0, math.nan], 0.25), "side start must be a finite real"),
+        ((0.3, math.inf, 0.25), "side start must be a finite real"),
     ],
-    ids=["str", "bool", "bytes-start", "bool-among-starts", "str-width", "wide", "nan-width"],
+    ids=[
+        "str", "bool", "bytes-start", "bool-among-starts", "str-width", "wide", "nan-width",
+        "nan-beta", "inf-beta", "nan-start", "inf-start",
+    ],
 )
 def test_invert_fractions_takes_numbers_and_clamped_widths(args, message):
     # invert_on_circle refuses each of these through its scalar and GeodesicSide checks

@@ -29,7 +29,7 @@ from hypergon.polygon import (
     vertices,
 )
 
-from conftest import circular_gap, random_angle_vectors, replay_table
+from conftest import circular_gap, euclidean_image_fraction, random_angle_vectors, replay_table
 
 # frozen via the Euclidean oracle: reflecting the regular 4-gon across its
 # first side sends the two far vertices to these fractions
@@ -124,8 +124,8 @@ def test_reflect_twice_recovers_cycle(rng):
 
 @pytest.mark.parametrize(
     "cycle",
-    [0.5, None, CirclePoint(0.1), (0.0, 0.5), (0.0, 0.5, 0.25)],
-    ids=["float", "None", "CirclePoint", "two-points", "unordered"],
+    [0.5, None, CirclePoint(0.1), (0.0, 0.5), (0.0, 0.5, 0.25), (0.0, 0.25, 0.5, math.nan), (0.0, 0.25, math.inf)],
+    ids=["float", "None", "CirclePoint", "two-points", "unordered", "nan", "inf"],
 )
 def test_reflect_rejects_a_malformed_cycle(cycle):
     with pytest.raises(DomainError, match="vertex cycle"):
@@ -142,6 +142,10 @@ def test_reflect_images_stay_inside_side_arc(rng):
         w = poly.angles[j - 1]
         offsets = [(t - a) % 1.0 for t in out]
         assert max(offsets) <= w + 1e-12
+        # the images of the free vertices, by the Cartesian route, in arc order
+        free = [t for k, t in enumerate(vertex_fractions(poly)) if k not in (j - 1, j % 5)]
+        oracle = sorted((euclidean_image_fraction(t, side(poly, j)) for t in free), key=lambda t: (t - a) % 1.0)
+        assert np.max(circular_gap(out[1:-1], oracle)) < 1e-12
 
 
 # --- inverted-angle table -----------------------------------------------------

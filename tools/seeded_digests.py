@@ -18,12 +18,14 @@ point in a quarter-turn side; last, the ``extremal`` scan at n = 4, step
 to 393,216 arcs, a document of many pieces and no repeating block; and
 ``grow --svg`` of a 5-gon rotated by 0.9 turn, whose vertex fractions wrap
 past a full turn; and the n = 4, step 1/150 scan again with ``--dump``, whose
-report must not change with it.  New commands go last, so the listing of an
-older checkout keeps its lines in place.  For each command it prints one line:
-its label, exit code, the SHA-256 of its stdout and the SHA-256 of each
-file it wrote.  Two runs of the same checkout must print
-the same listing, and a change that keeps every result must print the
-listing of its parent.
+report must not change with it; and ``invert`` of a point next to an end
+of a side 1.6e-9 turn wide, across a side 0.4999 wide, of a negative
+fraction across a side that wraps past 0, and of a side's midpoint.  New
+commands go last, so the listing of an older checkout keeps its lines in
+place.  For each command it prints one line: its label, exit code, the
+SHA-256 of its stdout and the SHA-256 of each file it wrote.  Two runs of
+the same checkout must print the same listing, and a change that keeps
+every result must print the listing of its parent.
 """
 
 from __future__ import annotations
@@ -126,6 +128,17 @@ COMMANDS = [
         ["rot-body.json", "rot.svg"],
     ),
     ("extremal-n4-150-dump", ["-m", "hypergon", "extremal", "--n", "4", "--grid", "1/150", "--dump", "g4.csv"], ["g4.csv"]),
+    # inversions next to an end of a narrow side, across a side next to the
+    # width cap, of a negative fraction across a side that wraps past 0, and
+    # of the arc midpoint, which goes to its antipode
+    (
+        "invert-narrow",
+        ["-m", "hypergon", "invert", "--side", "0,1.6378937069540648e-09", "--beta", "2.6378937053161708e-09"],
+        [],
+    ),
+    ("invert-wide", ["-m", "hypergon", "invert", "--side", "0.3,0.4999", "--beta", "0.1"], []),
+    ("invert-negative", ["-m", "hypergon", "invert", "--side", "0.9,0.2", "--beta", "-0.25"], []),
+    ("invert-midpoint", ["-m", "hypergon", "invert", "--side", "0,0.25", "--beta", "0.125"], []),
 ]
 
 
