@@ -19,11 +19,12 @@ import math
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, check_real, check_type, invert_fractions
+from .disk_geometry import ALPHA_MAX, ALPHA_MIN, check_count, check_finite, check_numbers, check_real, check_type
+from .disk_geometry import invert_fractions
 from .errors import ConvergenceError, DomainError, UnknownSuiteError
 from .measures import MAJORIZATION_SLACK, _prefix_margins, _sorted_spectra, area_upper_bound
 from .measures import euclidean_area, side_region_area
@@ -63,8 +64,10 @@ def minimize(fun, x0, *, fatol: float, maxfev: int) -> Descent:
     scipy's iteration cap is left out: every iteration makes at least one
     call, so a cap of ``maxfev`` or more iterations never ends a descent.
     """
+    maxfev = check_count(maxfev, "maxfev must be a positive integer", lo=1)
+    fatol = check_real(fatol, "fatol must be a finite real >= 0", lo=0.0)
+    x0 = check_finite(check_numbers(x0, "x0 must hold reals"), "x0 must hold finite reals").flatten().tolist()
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).flatten().tolist()
     n = len(x0)
     sim = [list(x0) for _ in range(n + 1)]
     for k in range(n):
@@ -150,12 +153,7 @@ class Violation:
     observed: dict
 
     def as_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "input": self.input,
-            "relation": self.relation,
-            "observed": self.observed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}  # vars() would give each record a dict
 
 
 def _violations(relation: str, cases, inputs: dict, observed: dict) -> list[Violation]:
@@ -260,15 +258,13 @@ def _lattice_rows(n: int, total: int, m_max: int, least_first: bool = False):
     """
     parts = np.arange(1, m_max + 1)
     pairs = np.stack(np.meshgrid(parts, parts, indexing="ij"), axis=-1).reshape(-1, 2)
-    pair_sums = pairs.sum(axis=1)
+    pair_sums, pair_least = pairs.sum(axis=1), pairs.min(axis=1)
     for prefix in itertools.product(range(1, m_max + 1), repeat=n - 3):
         if least_first and prefix and min(prefix) < prefix[0]:
             continue
         last = total - sum(prefix) - pair_sums
-        keep = (last >= 1) & (last <= m_max)
-        if least_first:
-            least = prefix[0] if prefix else pairs[:, 0]
-            keep &= (pairs[:, 0] >= least) & (pairs[:, 1] >= least) & (last >= least)
+        least = (prefix[0] if prefix else pairs[:, 0]) if least_first else 1  # the block's lower bound on parts
+        keep = (pair_least >= least) & (last >= least) & (last <= m_max)
         if keep.any():
             rows = np.empty((np.count_nonzero(keep), n))
             rows[:, : n - 3] = prefix
@@ -348,18 +344,15 @@ def grid_scan(n: int, step: float, dump_path: str | None = None) -> ScanReport:
             points /= total  # each block is a fresh array: divide it in place
             vals = _objective_batch(points)
             count += int(sizes.sum())
-            # the two smallest values of the block, counting each class size times; the first minimizer
-            # in lattice order wins ties.  No later class lands between best and second: only the last
-            # class, the all-equal row, has size 1, and a best class of size >= 2 sets second = best
+            # merge the block's two smallest values, counting each class size times, into the scan's;
+            # the first minimizer in lattice order wins ties
             i = int(np.argmin(vals))
             low = float(vals[i])
             if sizes[i] == 1:  # no other member shares the value: the next one is another row's
                 vals[i] = np.inf
-            next_low = float(vals.min())
             if low < best_val:
-                second_val = min(best_val, next_low)
-                best_val = low
                 best_row = points[i]
+            best_val, second_val = sorted((best_val, second_val, low, float(vals.min())))[:2]
         if dump:
             dump.write(",".join(f"alpha_{i + 1}" for i in range(n)) + ",objective\n")
             for points in _lattice_rows(n, total, m_max):

@@ -65,9 +65,15 @@ from hypergon.cli import (
 )
 from hypergon.disk_geometry import ALPHA_MAX, ALPHA_MIN, SUM_TOL
 from hypergon.errors import DomainError, UnknownSuiteError
+from hypergon.extremal import minimize
 from hypergon.polygon import _regular_rows
 
 SQUARE = IdealPolygon.regular(4)
+
+
+def _descend(x0=(0.3, 0.2), fatol=1e-10, maxfev=50):
+    return minimize(lambda points: (points**2).sum(axis=1), x0, fatol=fatol, maxfev=maxfev)
+
 
 COUNT_TAKERS = {
     "IdealPolygon.regular": lambda v: IdealPolygon.regular(v),
@@ -80,6 +86,7 @@ COUNT_TAKERS = {
     "property_suite": lambda v: property_suite("lemma32ii", v),
     "grow_body.s": lambda v: grow_body(SQUARE, v),
     "grow_body.max_sides": lambda v: grow_body(SQUARE, 2, max_sides=v),
+    "minimize.maxfev": lambda v: _descend(maxfev=v),
 }
 
 
@@ -120,6 +127,7 @@ SCALAR_TAKERS = {
     "grid_scan.step": lambda v: grid_scan(4, v),
     "sample_simplex.floor": lambda v: sample_simplex(3, 2, np.random.default_rng(0), floor=v),
     "refine_minimum.tol": lambda v: refine_minimum(SQUARE, v),
+    "minimize.fatol": lambda v: _descend(fatol=v),
     "RenderSpec.circle_stroke": lambda v: RenderSpec(circle_stroke=v),
     "RenderSpec.side_stroke": lambda v: RenderSpec(side_stroke=v),
 }
@@ -174,6 +182,7 @@ VECTOR_TAKERS = {
     "decreasing_rearrangement": decreasing_rearrangement,
     "reflect_polygon": lambda v: reflect_polygon(v, 1),
     "polygon_from_doc": lambda v: polygon_from_doc({"angles": v}),
+    "minimize.x0": lambda v: _descend(x0=v),
 }
 
 
@@ -197,6 +206,27 @@ def test_nan_side_cap_does_not_switch_the_cap_off():
     # a NaN cap used to compare false against every projected side count
     with pytest.raises(DomainError):
         grow_body(SQUARE, 2, max_sides=math.nan)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"maxfev": -5}, "maxfev must be a positive integer"),
+        ({"maxfev": 0}, "maxfev must be a positive integer"),
+        ({"fatol": -1.0}, "fatol must be a finite real"),
+        ({"x0": ["a", 0.2]}, "x0 must hold reals"),
+        ({"x0": [math.nan, 0.2]}, "x0 must hold finite reals"),
+    ],
+    ids=["maxfev-negative", "maxfev-zero", "fatol-negative", "x0-text", "x0-nan"],
+)
+def test_minimize_refuses_arguments_that_end_no_descent(kwargs, message):
+    # each used to return a Descent of fun=inf, a negative nfev, or run silently to the cap
+    with pytest.raises(DomainError, match=message):
+        _descend(**kwargs)
+
+
+def test_minimize_accepts_zero_tolerance_and_numpy_counts():
+    assert _descend(fatol=0, maxfev=np.int64(3)).nfev == 3
 
 
 def test_euclidean_area_applies_the_polygon_sum_test():

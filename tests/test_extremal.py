@@ -216,6 +216,19 @@ def test_grid_scan_matches_the_whole_lattice_bit_for_bit(monkeypatch, tmp_path, 
         assert path.read_text() == "\n".join([header, *lines]) + "\n"
 
 
+@pytest.mark.parametrize("n,total", [(4, 12), (4, 100), (5, 15), (6, 18)])
+def test_grid_scan_does_not_rely_on_the_order_of_its_classes(monkeypatch, n, total):
+    # the all-equal class of one comes first when the blocks are reversed, so
+    # a merge that only updated the second value on a new best reported inf
+    classes = extremal._lattice_classes
+    monkeypatch.setattr(extremal, "_lattice_classes", lambda *args: reversed(list(classes(*args))))
+    monkeypatch.setattr(extremal, "MAX_GRID_STEP", 1.0)
+    rows = np.concatenate(list(extremal._lattice_rows(n, total, (total - 1) // 2))) / total
+    best, second = (float(v) for v in np.sort(extremal._objective_batch(rows))[:2])
+    report = grid_scan(n, 1.0 / total)
+    assert (report.size, report.best_value, report.detail["second_best_value"]) == (len(rows), best, second)
+
+
 def test_grid_scan_lattice_count_matches_brute_force():
     report = grid_scan(3, 1.0 / 100.0)
     total = 100

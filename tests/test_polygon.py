@@ -239,6 +239,31 @@ def test_angle_tables_hold_relative_precision(n):
         assert worst < 1e-13
 
 
+def test_regular_tables_match_their_closed_form():
+    # at the regular n-gon, side distance k reads x(k/n) - x((k + 1)/n), where
+    # x(d) = atan2(1, 2 cot(pi/n) - cot(pi d))/pi and x(1) = 0; the entries
+    # decay strictly out to the opposite side (Lemma 3.1), so the largest is
+    # the adjacent one, 1/n - atan(2c/(3c^2 + 1))/pi with c = cot(pi/n)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    for n in range(3, 65):
+        got = angle_tables(np.full((1, n), 1 / n))[0]
+        c = mp.cot(mp.pi / n)
+
+        def x(k):
+            return mp.atan2(1, 2 * c - mp.cot(mp.pi * k / n)) / mp.pi if k < n else mp.mpf(0)
+
+        for k in range(1, n):
+            e = x(k) - x(k + 1)
+            cells = got[np.arange(n), (np.arange(n) + k) % n]
+            assert max(abs(float((mp.mpf(float(v)) - e) / e)) for v in cells) < 4e-15, (n, k)
+        rows = got[np.arange(n)[:, None], (np.arange(n)[:, None] + np.arange(1, n // 2 + 1)) % n]
+        assert np.all(np.diff(rows, axis=1) < 0), n
+        objective = 1 / mp.mpf(n) - mp.atan(2 * c / (3 * c**2 + 1)) / mp.pi
+        assert abs(float((mp.mpf(float(np.nanmax(got))) - objective) / objective)) < 2e-15, n
+
+
 def test_replay_closes_a_grown_cell():
     # a grown cell's shape, the wide shared side last, whose widths sum to
     # 1 - 1.28e-17: a replay that ended the last side a width past its
